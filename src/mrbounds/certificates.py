@@ -26,6 +26,7 @@ from .deletion import t_plus as _t_plus_op
 from .forcing import zero_forcing_number
 
 __all__ = [
+    "CertificateConflict",
     "CertificateError",
     "DELTA_DEFAULT",
     "MAX_ITER_DEFAULT",
@@ -65,7 +66,11 @@ POLISH_EDGE_ACCEPT = 0.03
 
 
 class CertificateError(ValueError):
-    """Pattern violations, bad parameters, or numeric/combinatorial conflict."""
+    """Pattern violations or bad parameters."""
+
+
+class CertificateConflict(CertificateError):
+    """Bounds that contradict each other: a verification failure, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -370,7 +375,13 @@ def certificate_search(
 
 def verify_certificate(c: RankCertificate) -> bool:
     """Independent check: exact pattern membership plus the tolerance test
-    on a freshly computed spectrum.  True only if both hold."""
+    on a freshly computed spectrum.  True only if both hold.
+
+    The tolerance test alone cannot prove a nullity on near-degenerate
+    spectra: Wilkinson's W21+ shifted by its top eigenvalue is a pattern
+    matrix of P_21 whose sigma[19] / sigma[0] is about 6e-15, so it verifies
+    as a rank-19 certificate (nullity 2) although M(P_21) = 1.
+    """
     try:
         c.matrix.validate()
     except CertificateError:
@@ -437,8 +448,9 @@ def m_sandwich(
     exact bounds leave a gap and ``numeric`` is on, rank certificates are
     tried at descending nullity targets from the upper bound down to just
     above t_minus; the first verified convergence sets numeric_lower.  A
-    numeric claim exceeding the exact upper bound is a contradiction and
-    raises instead of being reported.
+    numeric claim exceeding the exact upper bound, or forest bounds that
+    disagree, is a contradiction and raises CertificateConflict instead of
+    being reported.
 
     ``m_exact`` is set only when the lower bound meets min(z, t_plus).  When
     M itself lies below min(z, t_plus) it stays None however good the
@@ -453,7 +465,7 @@ def m_sandwich(
     numeric_lower: int | None = None
     if classify(g).is_forest:
         if tm != upper:
-            raise CertificateError(
+            raise CertificateConflict(
                 f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}"
             )
         m_exact: int | None = tm
@@ -470,7 +482,7 @@ def m_sandwich(
                     numeric_lower = k
                     break
         if numeric_lower is not None and numeric_lower > upper:
-            raise CertificateError(
+            raise CertificateConflict(
                 f"numeric lower bound {numeric_lower} exceeds exact upper bound {upper}"
             )
         m_exact = upper if numeric_lower == upper else None

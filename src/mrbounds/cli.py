@@ -15,10 +15,11 @@ from .certificates import (
     MAX_ITER_DEFAULT,
     RESTARTS_DEFAULT,
     TOL_DEFAULT,
+    CertificateConflict,
     certificate_search,
     write_certificate,
 )
-from .core import FamilyError, Graph6Error, generate_family, parse_graph6
+from .core import FamilyError, generate_family, parse_graph6
 from .forcing import zero_forcing_number
 from .reports import (
     compute_report,
@@ -27,6 +28,7 @@ from .reports import (
     verify_chain_corpus,
 )
 
+VERIFICATION_FAILURE = 1
 USAGE_ERROR = 2
 
 
@@ -121,7 +123,7 @@ def _cmd_verify_chain(args) -> int:
         for v in violations:
             print(f"{v['graph6']}: {v['check']} fails with values {v['values']}")
         print(f"{len(violations)} violation(s)")
-        return 1
+        return VERIFICATION_FAILURE
     print(f"no violations for n <= {args.max_n}")
     return 0
 
@@ -158,7 +160,7 @@ def _cmd_certify(args) -> int:
         print(f"maximum multiplicity >= {cert.m_lower}")
     if args.out:
         write_certificate(cert, args.out)
-    return 0 if cert.converged else 1
+    return 0 if cert.converged else VERIFICATION_FAILURE
 
 
 def _cmd_zf(args) -> int:
@@ -182,13 +184,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (Graph6Error, FamilyError) as exc:
+    except CertificateConflict as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+        return VERIFICATION_FAILURE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

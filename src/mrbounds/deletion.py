@@ -27,6 +27,7 @@ from .core import (
     _component_masks,
     _decomposition_of_mask,
     _edge_count,
+    _is_forest_mask,
     _mask_of,
     delete_vertices,
 )
@@ -98,6 +99,8 @@ def _component_t_extremum(adj, comp: int, minimize: bool, capped: bool):
                 break
         for sub in itertools.combinations(vs, q):
             rest = comp & ~_mask_of(sub)
+            # forest test inlined: comps also feeds the cover count below, and
+            # _is_forest_mask would walk the components a second time
             comps = _component_masks(adj, rest)
             if _edge_count(adj, rest) != rest.bit_count() - len(comps):
                 continue
@@ -269,9 +272,7 @@ def enumerate_feedback_sets(g: Graph, max_size: int | None = None) -> Iterator[f
     limit = g.n if max_size is None else min(max_size, g.n)
     for q in range(limit + 1):
         for sub in itertools.combinations(range(g.n), q):
-            rest = full & ~_mask_of(sub)
-            comps = _component_masks(adj, rest)
-            if _edge_count(adj, rest) == rest.bit_count() - len(comps):
+            if _is_forest_mask(adj, full & ~_mask_of(sub)):
                 yield frozenset(sub)
 
 
@@ -296,9 +297,7 @@ def reduce_optimal_set(g: Graph, s, parameter: str = "t_minus") -> frozenset[int
     full = (1 << g.n) - 1
 
     def leaves_forest(drop: set[int]) -> bool:
-        rest = full & ~_mask_of(drop)
-        comps = _component_masks(adj, rest)
-        return _edge_count(adj, rest) == rest.bit_count() - len(comps)
+        return _is_forest_mask(adj, full & ~_mask_of(drop))
 
     if not leaves_forest(s):
         raise DeletionError("input set does not leave a forest")

@@ -1,10 +1,15 @@
 """Whole-corpus verification and report plumbing.
 
 Everything here treats one graph as one row: compute all parameters, check
-the inequality chain between them, and serialize.  Corpus sweeps enumerate
-every labeled graph (no isomorphism reduction, by design: redundant but
-independently auditable) and recompute each side of every identity with
-unrelated algorithms, so an equality in the chain is evidence, not an echo.
+the inequality chain between them, and serialize.  Corpus sweeps walk every
+labeled graph and recompute each side of every identity with unrelated
+algorithms, so an equality in the chain is evidence, not an echo.  The
+parameters are graph invariants, so each isomorphism class of the labeled
+corpus is computed once and its verdict shared by every labeled member; a
+class that fails is recomputed member by member, so each violation record
+is that labeled graph's own.  The per-label audit stays in the acceptance
+gate: criteria 03, 05 and 08 run every labeled graph with n <= 6 through
+the engines, and criterion 10 through the graph6 codec.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ import csv
 import io
 import json
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .certificates import m_sandwich
-from .core import Graph, _component_masks, _edge_count, classify
+from .core import Graph, _component_masks, _is_forest_mask, classify
 from .deletion import _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -134,6 +140,54 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
         yield g
 
 
+def _isomorphism_classes(n: int, connected_only: bool = False) -> Iterator[tuple[Graph, int]]:
+    """Each graph of ``enumerate_small_graphs(n, connected_only)`` with the
+    index of its isomorphism class.
+
+    Classes are numbered 0, 1, ... in order of first appearance, so a class
+    is new exactly when its index equals the number of classes met so far.
+    The first member of a class marks the class's whole orbit of edge masks
+    in a table with one 2-byte entry per labeled graph (64 KB at n = 6, 4 MB
+    at n = 7; freed when the generator ends), by a stack walk under the
+    adjacent transpositions (v v+1), which generate all relabelings.  Each
+    transposition maps an edge mask through three 256-entry tables, one per
+    mask byte, which cover the 21 edge bits of n = ENUMERATION_MAX_N.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    moves = []
+    for v in range(n - 1):
+        swap = {v: v + 1, v + 1: v}
+        image = [bit[tuple(sorted((swap.get(a, a), swap.get(b, b))))] for a, b in pairs]
+        image += [0] * (24 - len(image))
+        luts = []
+        for base in (0, 8, 16):
+            lut = [0] * 256
+            for byte in range(1, 256):
+                low = byte & -byte
+                lut[byte] = lut[byte ^ low] | image[base + low.bit_length() - 1]
+            luts.append(lut)
+        moves.append(luts)
+    table = array("H", bytes(2 << len(pairs)))  # 0 = unseen, else class index + 1
+    classes = 0
+    for g in enumerate_small_graphs(n, connected_only):
+        mask = 0
+        for e in g.edges:
+            mask |= bit[e]
+        if not table[mask]:
+            classes += 1
+            table[mask] = classes
+            stack = [mask]
+            while stack:
+                x = stack.pop()
+                for lo, mid, hi in moves:
+                    y = lo[x & 255] | mid[x >> 8 & 255] | hi[x >> 16]
+                    if not table[y]:
+                        table[y] = classes
+                        stack.append(y)
+        yield g, table[mask] - 1
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -182,20 +236,17 @@ def _light_report(g: Graph) -> ParameterReport:
     """Values-only report for corpus sweeps; delta comes from its own
     kept-set search rather than the t_minus shortcut."""
     adj = g.adj
-    full = (1 << g.n) - 1
     tm, tp = _t_values(adj, g.n)
     d, dp = _delta_values(adj, g.n)
     z = _z_value(adj, g.n)
     p = None
     if g.n <= BRUTE_INDUCED_COVER_MAX_N:
         p = induced_path_cover_bruteforce(g).size
-    comps = _component_masks(adj, full)
-    is_forest = _edge_count(adj, full) == g.n - len(comps)
     return ParameterReport(
         graph6=g.graph6(),
         n=g.n,
         m=g.m,
-        is_forest=is_forest,
+        is_forest=_is_forest_mask(adj, (1 << g.n) - 1),
         t_minus=tm,
         delta=d,
         z=z,
@@ -240,15 +291,25 @@ def verify_chain_corpus(
 ) -> list[dict]:
     """Check the chain on every labeled graph with 1 <= n <= max_n.
 
-    Returns all violation records (expected: none).  max_n = 7 costs a
-    2^21 sweep and is allowed only with ``long_run``.
+    Returns all violation records (expected: none), in enumeration order.
+    Each isomorphism class is computed once, on its first labeled member;
+    only a class with a violation is recomputed on each of its members, so
+    every record carries that labeled graph's own graph6 and values.
+    max_n = 7 (2^21 labeled graphs, 1044 classes) is allowed only with
+    ``long_run``.
     """
     if max_n > ENUMERATION_MAX_N or (max_n > 6 and not long_run):
         raise ValueError("max_n <= 6 unless long_run is set (then <= 7)")
     violations = []
     for n in range(1, max_n + 1):
-        for i, g in enumerate(enumerate_small_graphs(n, connected_only)):
-            violations.extend(check_chain(_light_report(g)))
+        failing: list[bool] = []  # per class, does its first member violate?
+        for i, (g, c) in enumerate(_isomorphism_classes(n, connected_only)):
+            if c == len(failing):
+                hits = check_chain(_light_report(g))
+                failing.append(bool(hits))
+                violations.extend(hits)
+            elif failing[c]:
+                violations.extend(check_chain(_light_report(g)))
             if progress and n >= 7 and i % 100000 == 0:
                 print(f"n={n}: {i} graphs checked", file=sys.stderr)
     return violations
@@ -260,14 +321,26 @@ def verify_chain_corpus(
 _SURVEY_CLASSES = ("t_minus_eq_t_plus", "z_eq_t_plus", "p_eq_t_plus", "delta_eq_delta_plus")
 
 
+def _survey_flags(g: Graph) -> tuple[bool, ...]:
+    """Whether equality holds in each comparison of _SURVEY_CLASSES."""
+    adj = g.adj
+    tm, tp = _t_values(adj, g.n)
+    d, dp = _delta_values(adj, g.n)
+    z = _z_value(adj, g.n)
+    p = induced_path_cover_bruteforce(g).size
+    return tm == tp, z == tp, p == tp, d == dp
+
+
 def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dict:
     """Empirical equality classes over the labeled corpus with n <= max_n.
 
     For each of the four comparisons (t_minus vs t_plus, z vs t_plus, p vs
     t_plus, delta vs delta_plus) the summary holds the graph6 lists where
     equality holds and where it is strict, with counts.  These are lists,
-    not characterizations.  ``extra_graphs`` join the sweep after the corpus
-    (duplicates skipped), so reference graphs beyond max_n can be placed.
+    not characterizations.  Every labeled graph is listed, but the values
+    are computed once per isomorphism class.  ``extra_graphs`` join the
+    sweep after the corpus, each computed on its own (duplicates skipped),
+    so reference graphs beyond max_n can be placed.
     """
     if max_n > 6:
         raise ValueError("survey capped at max_n <= 6")
@@ -279,31 +352,23 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
             "equal_count": 0,
             "strict_count": 0,
         }
-
-    def graphs() -> Iterator[Graph]:
-        for n in range(1, max_n + 1):
-            yield from enumerate_small_graphs(n)
-        yield from extra_graphs
-
     seen: set[str] = set()
-    for g in graphs():
-        key = g.graph6()
-        if key in seen:
-            continue
+
+    def place(key: str, flags: tuple[bool, ...]) -> None:
         seen.add(key)
-        adj = g.adj
-        tm, tp = _t_values(adj, g.n)
-        d, dp = _delta_values(adj, g.n)
-        z = _z_value(adj, g.n)
-        p = induced_path_cover_bruteforce(g).size
-        for name, equal in (
-            ("t_minus_eq_t_plus", tm == tp),
-            ("z_eq_t_plus", z == tp),
-            ("p_eq_t_plus", p == tp),
-            ("delta_eq_delta_plus", d == dp),
-        ):
-            bucket = summary["classes"][name]
-            bucket["equal" if equal else "strict"].append(key)
+        for name, equal in zip(_SURVEY_CLASSES, flags):
+            summary["classes"][name]["equal" if equal else "strict"].append(key)
+
+    for n in range(1, max_n + 1):
+        class_flags: list[tuple[bool, ...]] = []
+        for g, c in _isomorphism_classes(n):
+            if c == len(class_flags):
+                class_flags.append(_survey_flags(g))
+            place(g.graph6(), class_flags[c])
+    for g in extra_graphs:
+        key = g.graph6()
+        if key not in seen:
+            place(key, _survey_flags(g))
     for name in _SURVEY_CLASSES:
         bucket = summary["classes"][name]
         bucket["equal_count"] = len(bucket["equal"])

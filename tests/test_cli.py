@@ -5,6 +5,7 @@ import json
 import pytest
 
 import mrbounds as mb
+from mrbounds import certificates
 from mrbounds.cli import main
 
 
@@ -78,6 +79,22 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--graph6", "B~~")
         assert code == 2
         assert "error" in err
+
+    def test_contradicting_bounds_exit_one(self, capsys, monkeypatch):
+        # a wrong Z on a forest breaks t_minus = z = t_plus: a verification
+        # failure (exit 1), not a usage error (exit 2)
+        real = certificates.zero_forcing_number
+
+        def wrong_z(g):
+            z, witness = real(g)
+            return z - 1, witness
+
+        monkeypatch.setattr(certificates, "zero_forcing_number", wrong_z)
+        g6 = mb.path_graph(4).graph6()
+        code, out, err = run(capsys, "compute", "--graph6", g6, "--numeric")
+        assert code == 1
+        assert out == ""
+        assert "forest bounds disagree" in err
 
 
 class TestVerifyChain:

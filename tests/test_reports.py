@@ -7,6 +7,8 @@ import io
 import pytest
 
 import mrbounds as mb
+from mrbounds import reports
+from conftest import random_graph
 
 
 class TestEnumerateSmallGraphs:
@@ -96,9 +98,65 @@ class TestCheckChain:
         assert any(h["check"] == "p_bruteforce <= t_plus" for h in mb.check_chain(bad))
 
 
+class TestIsomorphismClasses:
+    def test_class_counts_match_a000088(self):
+        # OEIS A000088: unlabeled graphs on n = 0..6 vertices
+        for n, count in enumerate((1, 1, 2, 4, 11, 34, 156)):
+            assert max(c for _, c in reports._isomorphism_classes(n)) + 1 == count
+
+    def test_light_report_is_relabeling_invariant(self, rng):
+        fields = [f.name for f in dataclasses.fields(mb.ParameterReport) if f.name != "graph6"]
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            g = random_graph(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = mb.Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+            a, b = reports._light_report(g), reports._light_report(h)
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
 class TestVerifyChainCorpus:
     def test_no_violations_up_to_four(self):
         assert mb.verify_chain_corpus(4) == []
+
+    def test_one_report_per_class(self, monkeypatch):
+        real = reports._light_report
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(reports, "_light_report", counted)
+        assert mb.verify_chain_corpus(5) == []
+        assert len(calls) == 1 + 2 + 4 + 11 + 34
+
+    def test_class_fault_reported_per_labeled_member(self, monkeypatch):
+        # t_plus one too low on every 4-cycle, a fault shared by the class
+        real = reports._t_values
+
+        def faulty(adj, n):
+            tm, tp = real(adj, n)
+            if n == 4 and all(a.bit_count() == 2 for a in adj):
+                tp -= 1
+            return tm, tp
+
+        monkeypatch.setattr(reports, "_t_values", faulty)
+        violations = mb.verify_chain_corpus(4)
+        c4s = {g.graph6() for g in mb.enumerate_small_graphs(4)
+               if all(a.bit_count() == 2 for a in g.adj)}
+        assert len(c4s) == 3
+        assert {v["graph6"] for v in violations} == c4s
+        # z <= t_plus and p_bruteforce <= t_plus fail on each labeled 4-cycle,
+        # with the records a per-label sweep gives, in the same order
+        assert len(violations) == 6
+        assert violations == [
+            hit
+            for n in range(1, 5)
+            for g in mb.enumerate_small_graphs(n)
+            for hit in mb.check_chain(reports._light_report(g))
+        ]
 
     def test_long_run_guard(self):
         with pytest.raises(ValueError):
