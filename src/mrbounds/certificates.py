@@ -185,9 +185,15 @@ def project_rank(m: np.ndarray, r: int) -> np.ndarray:
     if r == n:
         return m.copy()
     lam, q = np.linalg.eigh(m)
-    keep = np.argsort(-np.abs(lam), kind="stable")[:r]
-    out = (q[:, keep] * lam[keep]) @ q[:, keep].T
+    out = _truncate(lam, q, np.argsort(-np.abs(lam), kind="stable")[:r])
     return 0.5 * (out + out.T)
+
+
+def _truncate(lam: np.ndarray, q: np.ndarray, keep) -> np.ndarray:
+    """q diag(lam) q^T restricted to the eigenpairs ``keep``, symmetric only
+    up to rounding: project_rank symmetrises it, and _apply_pattern averages
+    each edge pair itself, so the search loop skips that cost per round."""
+    return (q[:, keep] * lam[keep]) @ q[:, keep].T
 
 
 def _nonedge_arrays(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +361,7 @@ def certificate_search(
                 if restart_best > STALL_FACTOR * mark:
                     break
                 mark = restart_best
-            keep = order[:r]
-            low = (q[:, keep] * lam[keep]) @ q[:, keep].T
-            a = _apply_pattern(low, n, rows, cols, delta)
+            a = _apply_pattern(_truncate(lam, q, order[:r]), n, rows, cols, delta)
         if converged:
             break
         if r > 0:

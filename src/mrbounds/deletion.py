@@ -68,11 +68,6 @@ class DeletionWitness:
     p_or_cover: int
 
 
-def _forest_cover_count(adj, mask: int) -> int:
-    """P of the forest induced on ``mask``; caller guarantees acyclicity."""
-    return sum(_tree_cover_count(adj, cm) for cm in _component_masks(adj, mask))
-
-
 # ---------------------------------------------------------------------------
 # t_minus / t_plus
 

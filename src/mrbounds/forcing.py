@@ -86,6 +86,17 @@ def forcing_closure(g: Graph, b) -> ForcingTrace:
     return ForcingTrace(b, tuple(forces), frozenset(_bits(filled)))
 
 
+def _min_forcing_set(adj, n: int) -> tuple[int, ...]:
+    """First forcing set in (size, lex) order: the lexicographically smallest
+    among the smallest."""
+    full = (1 << n) - 1
+    for k in range(n + 1):
+        for sub in itertools.combinations(range(n), k):
+            if _closure_mask(adj, _mask_of(sub)) == full:
+                return sub
+    raise AssertionError("the full vertex set always forces")
+
+
 def zero_forcing_number(g: Graph, *, max_n: int = Z_SEARCH_MAX_N) -> tuple[int, frozenset[int]]:
     """Smallest size of a set that forces all of g, with its witness.
 
@@ -94,23 +105,13 @@ def zero_forcing_number(g: Graph, *, max_n: int = Z_SEARCH_MAX_N) -> tuple[int, 
     """
     if g.n > max_n:
         raise ForcingError(f"zero forcing search capped at n={max_n}")
-    adj = g.adj
-    full = (1 << g.n) - 1
-    for k in range(g.n + 1):
-        for sub in itertools.combinations(range(g.n), k):
-            if _closure_mask(adj, _mask_of(sub)) == full:
-                return k, frozenset(sub)
-    raise AssertionError("the full vertex set always forces")
+    sub = _min_forcing_set(g.adj, g.n)
+    return len(sub), frozenset(sub)
 
 
 def _z_value(adj, n: int) -> int:
     """Forcing number only, for bulk sweeps."""
-    full = (1 << n) - 1
-    for k in range(n + 1):
-        for sub in itertools.combinations(range(n), k):
-            if _closure_mask(adj, _mask_of(sub)) == full:
-                return k
-    raise AssertionError("the full vertex set always forces")
+    return len(_min_forcing_set(adj, n))
 
 
 def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:

@@ -14,7 +14,6 @@ from .core import (
     Graph,
     _bits,
     _component_masks,
-    _decomposition_of_mask,
     _edge_count,
 )
 
@@ -69,6 +68,25 @@ def _validate_cover(g: Graph, cover: PathCover) -> None:
         raise PathCoverError("cover misses vertices")
 
 
+def _rooted(adj, comp: int) -> tuple[dict[int, int], list[int]]:
+    """Parent map and DFS preorder of the tree on ``comp``, rooted at its
+    lowest label (first in the order, parent -1).  Adjacency is intersected
+    with ``comp``, so ``adj`` may belong to a supergraph.
+    """
+    root = (comp & -comp).bit_length() - 1
+    parent = {root: -1}
+    order = [root]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in _bits(adj[v] & comp):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+                stack.append(w)
+    return parent, order
+
+
 def min_path_cover(g: Graph) -> PathCover:
     """Exact minimum path cover of a forest, with junction bookkeeping.
 
@@ -86,17 +104,7 @@ def min_path_cover(g: Graph) -> PathCover:
         nv = comp.bit_count()
         if _edge_count(adj, comp) != nv - 1:
             raise PathCoverError("graph has a cycle; minimum path cover needs a forest")
-        root = (comp & -comp).bit_length() - 1
-        parent = {root: -1}
-        order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in _bits(adj[v]):
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    stack.append(w)
+        parent, order = _rooted(adj, comp)
         # open[v]: the still-extendable path ending at v, built child-first
         open_at: dict[int, list[int]] = {}
         for v in reversed(order):
@@ -116,8 +124,8 @@ def min_path_cover(g: Graph) -> PathCover:
                 junctions.add(v)
                 for w in arms[2:]:
                     paths.append(tuple(open_at.pop(w)))
-        if root in open_at:
-            paths.append(tuple(open_at.pop(root)))
+        if order[0] in open_at:
+            paths.append(tuple(open_at.pop(order[0])))
         paths.extend(tuple(p) for p in open_at.values())
     cover = PathCover(tuple(paths), frozenset(junctions))
     _validate_cover(g, cover)
@@ -130,17 +138,7 @@ def _tree_cover_count(adj, comp: int) -> int:
     ``comp`` masks the tree's vertices; adjacency is intersected with it, so
     ``adj`` may belong to a supergraph.
     """
-    root = (comp & -comp).bit_length() - 1
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in _bits(adj[v] & comp):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
+    parent, order = _rooted(adj, comp)
     count = 0
     open_end = set()
     for v in reversed(order):

@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator
 
 from .certificates import m_sandwich
@@ -43,18 +43,16 @@ __all__ = [
 
 ENUMERATION_MAX_N = 7
 
-REPORT_CSV_HEADER = (
-    "graph6,n,m,is_forest,t_minus,delta,p_bruteforce,z,t_plus,delta_plus,"
-    "m_lower_numeric,m_exact,chain_ok,"
-    "witness_t_minus,witness_t_plus,witness_delta,witness_delta_plus,witness_z"
-)
-
 _WITNESS_KEYS = ("t_minus", "t_plus", "delta", "delta_plus", "z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ParameterReport:
     """All computed parameters of one graph, plus the chain verdict.
+
+    The field order is the report format: it is the JSON key order, and the
+    CSV column order with ``witnesses`` replaced by one ``witness_<key>``
+    column per key of _WITNESS_KEYS at the end (REPORT_CSV_HEADER).
 
     ``witnesses`` maps parameter name to a sorted vertex tuple (the deletion
     set, or the forcing set for "z"); may be empty for bulk sweeps.
@@ -69,51 +67,37 @@ class ParameterReport:
     is_forest: bool
     t_minus: int
     delta: int
+    p_bruteforce: int | None = None
     z: int
     t_plus: int
     delta_plus: int
-    chain_ok: bool
-    p_bruteforce: int | None = None
+    witnesses: dict[str, tuple[int, ...]] = field(default_factory=dict)
     m_lower_numeric: int | None = None
     m_exact: int | None = None
-    witnesses: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    chain_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "is_forest": self.is_forest,
-            "t_minus": self.t_minus,
-            "delta": self.delta,
-            "p_bruteforce": self.p_bruteforce,
-            "z": self.z,
-            "t_plus": self.t_plus,
-            "delta_plus": self.delta_plus,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-            "m_lower_numeric": self.m_lower_numeric,
-            "m_exact": self.m_exact,
-            "chain_ok": self.chain_ok,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["witnesses"] = {k: list(v) for k, v in self.witnesses.items()}
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ParameterReport":
-        return ParameterReport(
-            graph6=d["graph6"],
-            n=d["n"],
-            m=d["m"],
-            is_forest=bool(d["is_forest"]),
-            t_minus=d["t_minus"],
-            delta=d["delta"],
-            z=d["z"],
-            t_plus=d["t_plus"],
-            delta_plus=d["delta_plus"],
-            chain_ok=bool(d["chain_ok"]),
-            p_bruteforce=d.get("p_bruteforce"),
-            m_lower_numeric=d.get("m_lower_numeric"),
-            m_exact=d.get("m_exact"),
-            witnesses={k: tuple(v) for k, v in d.get("witnesses", {}).items()},
-        )
+        """Inverse of to_dict; an absent defaulted key takes its default."""
+        kwargs = {}
+        for f in fields(ParameterReport):
+            if f.name == "witnesses":
+                kwargs[f.name] = {k: tuple(v) for k, v in d.get(f.name, {}).items()}
+            elif f.default is MISSING or f.name in d:
+                kwargs[f.name] = bool(d[f.name]) if f.type == "bool" else d[f.name]
+        return ParameterReport(**kwargs)
+
+
+_CSV_FIELDS = tuple(f for f in fields(ParameterReport) if f.name != "witnesses")
+
+REPORT_CSV_HEADER = ",".join(
+    [f.name for f in _CSV_FIELDS] + [f"witness_{k}" for k in _WITNESS_KEYS]
+)
 
 
 def _chain_holds(tm: int, d: int, z: int, tp: int, dp: int, n: int) -> bool:
@@ -318,17 +302,13 @@ def verify_chain_corpus(
 # ---------------------------------------------------------------------------
 # open-question surveys
 
-_SURVEY_CLASSES = ("t_minus_eq_t_plus", "z_eq_t_plus", "p_eq_t_plus", "delta_eq_delta_plus")
-
-
-def _survey_flags(g: Graph) -> tuple[bool, ...]:
-    """Whether equality holds in each comparison of _SURVEY_CLASSES."""
-    adj = g.adj
-    tm, tp = _t_values(adj, g.n)
-    d, dp = _delta_values(adj, g.n)
-    z = _z_value(adj, g.n)
-    p = induced_path_cover_bruteforce(g).size
-    return tm == tp, z == tp, p == tp, d == dp
+# Each survey class compares two ParameterReport fields for equality.
+_SURVEY_CLASSES = {
+    "t_minus_eq_t_plus": ("t_minus", "t_plus"),
+    "z_eq_t_plus": ("z", "t_plus"),
+    "p_eq_t_plus": ("p_bruteforce", "t_plus"),
+    "delta_eq_delta_plus": ("delta", "delta_plus"),
+}
 
 
 def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dict:
@@ -340,10 +320,19 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
     not characterizations.  Every labeled graph is listed, but the values
     are computed once per isomorphism class.  ``extra_graphs`` join the
     sweep after the corpus, each computed on its own (duplicates skipped),
-    so reference graphs beyond max_n can be placed.
+    so reference graphs beyond max_n can be placed, up to the brute-force
+    induced cover cap of n = BRUTE_INDUCED_COVER_MAX_N; a larger one raises
+    ValueError before any work is done.
     """
     if max_n > 6:
         raise ValueError("survey capped at max_n <= 6")
+    extra_graphs = list(extra_graphs)
+    for g in extra_graphs:
+        if g.n > BRUTE_INDUCED_COVER_MAX_N:
+            raise ValueError(
+                f"extra graph with n={g.n} above the induced cover cap "
+                f"n={BRUTE_INDUCED_COVER_MAX_N}"
+            )
     summary: dict = {"max_n": max_n, "classes": {}}
     for name in _SURVEY_CLASSES:
         summary["classes"][name] = {
@@ -354,6 +343,9 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
         }
     seen: set[str] = set()
 
+    def equalities(r: ParameterReport) -> tuple[bool, ...]:
+        return tuple(getattr(r, a) == getattr(r, b) for a, b in _SURVEY_CLASSES.values())
+
     def place(key: str, flags: tuple[bool, ...]) -> None:
         seen.add(key)
         for name, equal in zip(_SURVEY_CLASSES, flags):
@@ -363,12 +355,12 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
         class_flags: list[tuple[bool, ...]] = []
         for g, c in _isomorphism_classes(n):
             if c == len(class_flags):
-                class_flags.append(_survey_flags(g))
+                class_flags.append(equalities(_light_report(g)))
             place(g.graph6(), class_flags[c])
     for g in extra_graphs:
         key = g.graph6()
         if key not in seen:
-            place(key, _survey_flags(g))
+            place(key, equalities(_light_report(g)))
     for name in _SURVEY_CLASSES:
         bucket = summary["classes"][name]
         bucket["equal_count"] = len(bucket["equal"])
@@ -378,6 +370,16 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
 
 # ---------------------------------------------------------------------------
 # serialization
+
+# CSV cell -> field value, by field annotation (a string here, under
+# ``from __future__ import annotations``)
+_CELL_PARSERS = {
+    "str": str,
+    "int": int,
+    "bool": lambda cell: cell == "true",
+    "int | None": lambda cell: None if cell == "" else int(cell),
+}
+
 
 def _witness_cell(report: ParameterReport, key: str) -> str:
     w = report.witnesses.get(key)
@@ -389,28 +391,15 @@ def _witness_cell(report: ParameterReport, key: str) -> str:
 
 
 def _csv_row(r: ParameterReport) -> list[str]:
-    def opt(x) -> str:
-        return "" if x is None else str(x)
+    def cell(x) -> str:
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return str(x)
 
-    return [
-        r.graph6,
-        str(r.n),
-        str(r.m),
-        "true" if r.is_forest else "false",
-        str(r.t_minus),
-        str(r.delta),
-        opt(r.p_bruteforce),
-        str(r.z),
-        str(r.t_plus),
-        str(r.delta_plus),
-        opt(r.m_lower_numeric),
-        opt(r.m_exact),
-        "true" if r.chain_ok else "false",
-        _witness_cell(r, "t_minus"),
-        _witness_cell(r, "t_plus"),
-        _witness_cell(r, "delta"),
-        _witness_cell(r, "delta_plus"),
-        _witness_cell(r, "z"),
+    return [cell(getattr(r, f.name)) for f in _CSV_FIELDS] + [
+        _witness_cell(r, key) for key in _WITNESS_KEYS
     ]
 
 
@@ -460,11 +449,9 @@ def load_reports_csv(source) -> list[ParameterReport]:
     else:
         with open(source, "r", encoding="ascii", newline="") as fh:
             rows = list(csv.reader(fh))
-    if not rows or rows[0] != REPORT_CSV_HEADER.split(","):
+    header = REPORT_CSV_HEADER.split(",")
+    if not rows or rows[0] != header:
         raise ValueError("missing or wrong CSV header")
-
-    def opt_int(cell: str) -> int | None:
-        return None if cell == "" else int(cell)
 
     def witness(cell: str) -> tuple[int, ...]:
         if cell == "-":
@@ -475,27 +462,14 @@ def load_reports_csv(source) -> list[ParameterReport]:
     for row in rows[1:]:
         if not row:
             continue
-        witnesses = {
-            key: witness(cell)
-            for key, cell in zip(_WITNESS_KEYS, [row[13], row[14], row[15], row[16], row[17]])
-            if cell != ""
+        if len(row) != len(header):
+            raise ValueError(f"CSV row has {len(row)} cells, the header {len(header)}")
+        cells = dict(zip(header, row))
+        kwargs = {f.name: _CELL_PARSERS[f.type](cells[f.name]) for f in _CSV_FIELDS}
+        kwargs["witnesses"] = {
+            key: witness(cells[f"witness_{key}"])
+            for key in _WITNESS_KEYS
+            if cells[f"witness_{key}"] != ""
         }
-        out.append(
-            ParameterReport(
-                graph6=row[0],
-                n=int(row[1]),
-                m=int(row[2]),
-                is_forest=row[3] == "true",
-                t_minus=int(row[4]),
-                delta=int(row[5]),
-                z=int(row[7]),
-                t_plus=int(row[8]),
-                delta_plus=int(row[9]),
-                chain_ok=row[12] == "true",
-                p_bruteforce=opt_int(row[6]),
-                m_lower_numeric=opt_int(row[10]),
-                m_exact=opt_int(row[11]),
-                witnesses=witnesses,
-            )
-        )
+        out.append(ParameterReport(**kwargs))
     return out

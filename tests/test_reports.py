@@ -3,6 +3,7 @@ two serialization formats."""
 
 import dataclasses
 import io
+import json
 
 import pytest
 
@@ -200,6 +201,21 @@ class TestSurvey:
         with pytest.raises(ValueError):
             mb.survey_open_questions(7)
 
+    def test_extra_graph_above_cover_cap_rejected_up_front(self, monkeypatch):
+        swept = []
+        real = reports._isomorphism_classes
+        monkeypatch.setattr(
+            reports, "_isomorphism_classes", lambda *a: swept.append(a) or real(*a)
+        )
+        with pytest.raises(ValueError, match="cap n=8") as excinfo:
+            mb.survey_open_questions(1, extra_graphs=[mb.path_graph(9)])
+        assert not isinstance(excinfo.value, mb.PathCoverError)
+        assert swept == []
+        p8 = mb.path_graph(8).graph6()
+        s = mb.survey_open_questions(1, extra_graphs=iter([mb.path_graph(8)]))
+        for bucket in s["classes"].values():
+            assert bucket["equal"] == ["@", p8]
+
 
 class TestSerialization:
     def reports(self):
@@ -216,6 +232,25 @@ class TestSerialization:
         buf.seek(0)
         back = mb.load_reports_json(buf)
         assert back == reps
+
+    def test_format_is_pinned(self):
+        header = (
+            "graph6,n,m,is_forest,t_minus,delta,p_bruteforce,z,t_plus,delta_plus,"
+            "m_lower_numeric,m_exact,chain_ok,"
+            "witness_t_minus,witness_t_plus,witness_delta,witness_delta_plus,witness_z"
+        )
+        keys = [
+            "graph6", "n", "m", "is_forest", "t_minus", "delta", "p_bruteforce", "z",
+            "t_plus", "delta_plus", "witnesses", "m_lower_numeric", "m_exact", "chain_ok",
+        ]
+        assert mb.REPORT_CSV_HEADER == header
+        reps = self.reports()
+        buf = io.StringIO()
+        mb.emit_report(reps, format="csv", destination=buf)
+        assert buf.getvalue().splitlines()[0] == header
+        buf = io.StringIO()
+        mb.emit_report(reps, format="json", destination=buf)
+        assert [list(d) for d in json.loads(buf.getvalue())] == [keys] * len(reps)
 
     def test_csv_round_trip(self):
         reps = self.reports()
@@ -251,6 +286,11 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             mb.load_reports_csv(io.StringIO("graph6,n\nBg,3\n"))
+
+    def test_short_row_rejected(self):
+        text = mb.REPORT_CSV_HEADER + "\nBw,3,1\n"
+        with pytest.raises(ValueError, match="3 cells"):
+            mb.load_reports_csv(io.StringIO(text))
 
     def test_emit_is_deterministic(self):
         reps = self.reports()[:2]
