@@ -112,8 +112,9 @@ class RankCertificate:
     ``sigma`` holds the singular values (eigenvalue magnitudes, descending)
     of ``matrix``; ``converged`` means sigma[r] <= tol * sigma[0] held, so
     the matrix has numerical rank <= r and the graph has maximum nullity at
-    least ``m_lower``.  ``iterations`` is the projection-round index of the
-    reported iterate within its restart.
+    least ``m_lower``.  ``iterations`` counts the projection rounds of the
+    reported iterate within its restart, plus the Levenberg-Marquardt steps
+    when the polish produced it (see certificate_search).
     """
 
     matrix: PatternMatrix

@@ -7,16 +7,19 @@ Two dual pairs are computed exactly by subset search over deletion sets:
 * delta / delta_plus: delete a set S leaving a disjoint union of paths,
   score the path count p against |S| (max of p - |S|, min of p + |S|).
 
-t_minus always equals delta; the default delta routine exploits that by
-upgrading a t_minus witness instead of searching.  Searches run per
-connected component (all four parameters are additive) and, by default,
-only over deletion sets as large as the component's cycle space, which is
-always enough.
+All four run one search per connected component (they are additive) and
+differ only in the leftover count.  t+- scan only deletion sets as large as
+the component's cycle space, which is always enough; delta+- scan every size
+and need n <= DELTA_BRUTE_MAX_N.  A component that would need more than
+2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  t_minus
+always equals delta; the default delta routine exploits that by upgrading a
+t_minus witness instead of searching.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -69,101 +72,20 @@ class DeletionWitness:
 
 
 # ---------------------------------------------------------------------------
-# t_minus / t_plus
+# the deletion search
 
-def _component_t_extremum(adj, comp: int, minimize: bool, capped: bool):
-    """Optimal (value, deletion set, leftover P) on one connected component.
-
-    Enumerates deletion subsets in ascending (size, lex) order, so the
-    recorded optimum is the canonical witness: smallest, then lexicographic.
-    With ``capped`` the subset size stays within the component's cycle space
-    dimension, which always contains an optimal set.
-    """
-    vs = tuple(_bits(comp))
-    nc = len(vs)
-    cap = _edge_count(adj, comp) - nc + 1
-    limit = min(cap, nc) if capped else nc
-    best_val = None
-    best_set = ()
-    best_p = 0
-    for q in range(limit + 1):
-        if best_val is not None:
-            if minimize and q + 1 >= best_val:
-                break
-            if not minimize and nc - 2 * q <= best_val:
-                break
-        for sub in itertools.combinations(vs, q):
-            rest = comp & ~_mask_of(sub)
-            # forest test inlined: comps also feeds the cover count below, and
-            # _is_forest_mask would walk the components a second time
-            comps = _component_masks(adj, rest)
-            if _edge_count(adj, rest) != rest.bit_count() - len(comps):
-                continue
-            p = sum(_tree_cover_count(adj, cm) for cm in comps)
-            val = p + q if minimize else p - q
-            if best_val is None or (val < best_val if minimize else val > best_val):
-                best_val = val
-                best_set = sub
-                best_p = p
-    assert best_val is not None
-    return best_val, best_set, best_p
+def _forest_cover(adj, rest: int):
+    """Forest cover number P of G[rest], or None if G[rest] has a cycle."""
+    # forest test inlined: comps also feeds the cover count, and
+    # _is_forest_mask would walk the components a second time
+    comps = _component_masks(adj, rest)
+    if _edge_count(adj, rest) != rest.bit_count() - len(comps):
+        return None
+    return sum(_tree_cover_count(adj, cm) for cm in comps)
 
 
-def _t_extremum(g: Graph, minimize: bool, capped: bool) -> DeletionWitness:
-    adj = g.adj
-    value = 0
-    chosen: set[int] = set()
-    cover = 0
-    for comp in _component_masks(adj, (1 << g.n) - 1):
-        v, s, p = _component_t_extremum(adj, comp, minimize, capped)
-        value += v
-        chosen.update(s)
-        cover += p
-    rest = (1 << g.n) - 1 & ~_mask_of(chosen)
-    witness = DeletionWitness(
-        "t_plus" if minimize else "t_minus",
-        frozenset(chosen),
-        value,
-        _decomposition_of_mask(adj, rest),
-        cover,
-    )
-    return witness
-
-
-def t_minus(g: Graph, *, capped: bool = True) -> DeletionWitness:
-    """max of P(G - S) - |S| over deletion sets S leaving a forest.
-
-    The witness set is canonical: smallest, then lexicographically first,
-    independently per connected component.
-    """
-    return _t_extremum(g, minimize=False, capped=capped)
-
-
-def t_plus(g: Graph, *, capped: bool = True) -> DeletionWitness:
-    """min of P(G - S) + |S| over deletion sets S leaving a forest."""
-    return _t_extremum(g, minimize=True, capped=capped)
-
-
-def _t_values(adj, n: int) -> tuple[int, int]:
-    """(t_minus, t_plus) values only, for bulk sweeps."""
-    tm = tp = 0
-    for comp in _component_masks(adj, (1 << n) - 1):
-        vm, _, _ = _component_t_extremum(adj, comp, False, True)
-        vp, _, _ = _component_t_extremum(adj, comp, True, True)
-        tm += vm
-        tp += vp
-    return tm, tp
-
-
-# ---------------------------------------------------------------------------
-# delta / delta_plus
-#
-# A kept set W inducing a linear forest with e edges and c components gives
-# p = |W| - e paths and q = n - |W| deletions, so
-#   p - q = 2|W| - e - n      and      p + q = n - e.
-
-def _linear_profile(adj, mask: int):
-    """(vertex count, edge count) if ``mask`` induces a linear forest, else None."""
+def _path_count(adj, mask: int):
+    """Path count p of G[mask] if it is a linear forest, else None."""
     w = mask.bit_count()
     e = 0
     for v in _bits(mask):
@@ -174,7 +96,100 @@ def _linear_profile(adj, mask: int):
     e //= 2
     if e != w - len(_component_masks(adj, mask)):
         return None
-    return w, e
+    return w - e
+
+
+# parameter -> (leftover count, minimize, capped by the cycle space); delta+-
+# may need to delete tree vertices, e.g. a star's centre
+_PARAMETERS = {
+    "t_minus": (_forest_cover, False, True),
+    "t_plus": (_forest_cover, True, True),
+    "delta": (_path_count, False, False),
+    "delta_plus": (_path_count, True, False),
+}
+
+
+# The per-component canonical optima unite to the global canonical witness,
+# the first optimum in (size, lex) order over the whole graph.  Values and
+# sizes add over components, so a smallest optimum is a union of smallest
+# component optima.  For two sets of equal size, sorted-tuple order is decided
+# by the least element of their symmetric difference, and adding the same
+# disjoint set to both leaves that element unchanged; so the union of
+# per-component lex-first optima is lex-first.
+def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
+    """Optimal (value, deletion set, leftover count) on one connected component.
+
+    ``count(adj, rest)`` is the leftover count p of the kept set, or None if
+    the kept set is not admissible; the score is p + |S| or p - |S|.  Subsets
+    come in ascending (size, lex) order and only a strict improvement is kept,
+    so the optimum recorded is canonical.  With ``capped`` the subset size
+    stays within the component's cycle space dimension.
+    """
+    vs = tuple(_bits(comp))
+    nc = len(vs)
+    cap = _edge_count(adj, comp) - nc + 1
+    limit = min(cap, nc) if capped else nc
+    work = sum(math.comb(nc, q) for q in range(limit + 1))
+    if work > 1 << DELTA_BRUTE_MAX_N:
+        raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
+    best_val = None
+    best_set = ()
+    best_p = 0
+    for q in range(limit + 1):
+        if best_val is not None:
+            if minimize and q + 1 >= best_val:
+                break
+            if not minimize and nc - 2 * q <= best_val:
+                break
+        for sub in itertools.combinations(vs, q):
+            p = count(adj, comp & ~_mask_of(sub))
+            if p is None:
+                continue
+            val = p + q if minimize else p - q
+            if best_val is None or (val < best_val if minimize else val > best_val):
+                best_val = val
+                best_set = sub
+                best_p = p
+    assert best_val is not None
+    return best_val, best_set, best_p
+
+
+def _search(g: Graph, parameter: str, capped: bool = True) -> DeletionWitness:
+    count, minimize, cycle_capped = _PARAMETERS[parameter]
+    adj = g.adj
+    full = (1 << g.n) - 1
+    value = cover = 0
+    chosen: list[int] = []
+    for comp in _component_masks(adj, full):
+        v, s, p = _component_extremum(adj, comp, count, minimize, capped and cycle_capped)
+        value += v
+        chosen.extend(s)
+        cover += p
+    rest = full & ~_mask_of(chosen)
+    return DeletionWitness(parameter, frozenset(chosen), value, _decomposition_of_mask(adj, rest), cover)
+
+
+def t_minus(g: Graph, *, capped: bool = True) -> DeletionWitness:
+    """max of P(G - S) - |S| over deletion sets S leaving a forest.
+
+    The witness set is canonical: smallest, then lexicographically first,
+    independently per connected component.
+    """
+    return _search(g, "t_minus", capped)
+
+
+def t_plus(g: Graph, *, capped: bool = True) -> DeletionWitness:
+    """min of P(G - S) + |S| over deletion sets S leaving a forest."""
+    return _search(g, "t_plus", capped)
+
+
+def _t_values(adj, n: int) -> tuple[int, int]:
+    """(t_minus, t_plus) values only, for bulk sweeps."""
+    tm = tp = 0
+    for comp in _component_masks(adj, (1 << n) - 1):
+        tm += _component_extremum(adj, comp, _forest_cover, False, True)[0]
+        tp += _component_extremum(adj, comp, _forest_cover, True, True)[0]
+    return tm, tp
 
 
 def _delta_values(adj, n: int) -> tuple[int, int]:
@@ -182,61 +197,28 @@ def _delta_values(adj, n: int) -> tuple[int, int]:
     best_minus = -n
     best_plus = n
     for mask in range(1 << n):
-        prof = _linear_profile(adj, mask)
-        if prof is None:
+        p = _path_count(adj, mask)
+        if p is None:
             continue
-        w, e = prof
-        best_minus = max(best_minus, 2 * w - e - n)
-        best_plus = min(best_plus, n - e)
+        q = n - mask.bit_count()
+        best_minus = max(best_minus, p - q)
+        best_plus = min(best_plus, p + q)
     return best_minus, best_plus
 
 
-def _first_achiever(g: Graph, target: int, plus: bool) -> DeletionWitness:
-    """Canonical deletion set attaining a known optimal value.
-
-    Scans deletion sets in ascending (size, lex) order and returns the first
-    whose kept set induces a linear forest with the target score.
-    """
-    adj = g.adj
-    n = g.n
-    full = (1 << n) - 1
-    for q in range(n + 1):
-        if plus and q + 1 > target and q < n:
-            break
-        if not plus and n - 2 * q < target:
-            break
-        for sub in itertools.combinations(range(n), q):
-            mask = full & ~_mask_of(sub)
-            prof = _linear_profile(adj, mask)
-            if prof is None:
-                continue
-            w, e = prof
-            val = n - e if plus else 2 * w - e - n
-            if val == target:
-                return DeletionWitness(
-                    "delta_plus" if plus else "delta",
-                    frozenset(sub),
-                    target,
-                    _decomposition_of_mask(adj, mask),
-                    w - e,
-                )
-    raise AssertionError("optimal value not attained; sweep and scan disagree")
-
-
-def delta(g: Graph, *, bruteforce: bool = False, max_n: int = DELTA_BRUTE_MAX_N) -> DeletionWitness:
+def delta(g: Graph, *, bruteforce: bool = False) -> DeletionWitness:
     """max of p - |S| over deletion sets leaving p disjoint paths.
 
     The default derives a witness from t_minus: the two parameters agree on
     every graph, and deleting the junction vertices of each tree's greedy
     cover turns the t_minus forest into a linear forest without changing the
-    score.  ``bruteforce=True`` searches kept sets directly instead (needs
-    n <= max_n) and returns the canonical smallest witness.
+    score.  ``bruteforce=True`` runs the deletion search directly instead
+    (needs n <= DELTA_BRUTE_MAX_N) and returns the canonical smallest witness.
     """
     if bruteforce:
-        if g.n > max_n:
-            raise DeletionError(f"brute-force delta capped at n={max_n}")
-        value, _ = _delta_values(g.adj, g.n)
-        return _first_achiever(g, value, plus=False)
+        if g.n > DELTA_BRUTE_MAX_N:
+            raise DeletionError(f"brute-force delta capped at n={DELTA_BRUTE_MAX_N}")
+        return _search(g, "delta")
     base = t_minus(g)
     forest, labels = delete_vertices(g, base.s)
     cover = min_path_cover(forest)
@@ -249,12 +231,11 @@ def delta(g: Graph, *, bruteforce: bool = False, max_n: int = DELTA_BRUTE_MAX_N)
     return DeletionWitness("delta", frozenset(s), base.value, deco, deco.p)
 
 
-def delta_plus(g: Graph, *, max_n: int = DELTA_BRUTE_MAX_N) -> DeletionWitness:
-    """min of p + |S| over deletion sets leaving p disjoint paths."""
-    if g.n > max_n:
-        raise DeletionError(f"delta_plus search capped at n={max_n}")
-    _, value = _delta_values(g.adj, g.n)
-    return _first_achiever(g, value, plus=True)
+def delta_plus(g: Graph) -> DeletionWitness:
+    """min of p + |S| over deletion sets leaving p disjoint paths (n <= 16)."""
+    if g.n > DELTA_BRUTE_MAX_N:
+        raise DeletionError(f"delta_plus search capped at n={DELTA_BRUTE_MAX_N}")
+    return _search(g, "delta_plus")
 
 
 # ---------------------------------------------------------------------------

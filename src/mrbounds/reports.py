@@ -433,13 +433,25 @@ def emit_report(reports: Iterable[ParameterReport], format: str = "json", destin
 
 
 def load_reports_json(source) -> list[ParameterReport]:
-    """Read back a JSON report array from a path or stream."""
+    """Read back a JSON report array from a path or stream.
+
+    A top level that is not an array, or a malformed record, raises
+    ValueError naming the record's index.
+    """
     if hasattr(source, "read"):
         data = json.load(source)
     else:
         with open(source, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    return [ParameterReport.from_dict(d) for d in data]
+    if not isinstance(data, list):
+        raise ValueError("JSON report is not an array of records")
+    out = []
+    for i, d in enumerate(data):
+        try:
+            out.append(ParameterReport.from_dict(d))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"JSON record {i} is malformed: {exc!r}") from exc
+    return out
 
 
 def load_reports_csv(source) -> list[ParameterReport]:

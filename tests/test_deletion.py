@@ -1,12 +1,14 @@
 """Deletion parameters: golden values, witness canonicality, cap soundness."""
 
 import itertools
+import time
 
 import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
 from mrbounds.deletion import DeletionError, _delta_values, _t_values
+from mrbounds.reports import enumerate_small_graphs
 from conftest import random_graph, random_tree
 
 
@@ -53,6 +55,35 @@ def brute_t(g, minimize):
             if best is None or (val < best if minimize else val > best):
                 best = val
     return best
+
+
+def first_linear_optima(g):
+    """Reference for the canonical delta and delta_plus witnesses: scan every
+    deletion set of the whole graph in (size, lex) order, no components, no
+    pruning, and keep the first set with the optimal score.  Returns
+    {parameter: (set, value, path count)}."""
+    best = {}
+    for q in range(g.n + 1):
+        for sub in itertools.combinations(range(g.n), q):
+            deco = mb.classify(mb.delete_vertices(g, sub)[0])
+            if not deco.is_linear_forest:
+                continue
+            for name, val, better in (("delta", deco.p - q, int.__gt__),
+                                      ("delta_plus", deco.p + q, int.__lt__)):
+                if name not in best or better(val, best[name][1]):
+                    best[name] = (frozenset(sub), val, deco.p)
+    return best
+
+
+def interleaved_union(rng):
+    """Disjoint union of two random graphs whose vertex labels interleave."""
+    n = rng.randint(6, 10)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    a = rng.randint(2, n - 2)
+    sides = (labels[:a], labels[a:])
+    edges = [e for side in sides for e in itertools.combinations(side, 2) if rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
 
 
 class TestGoldenValues:
@@ -137,6 +168,17 @@ class TestWitnesses:
             g = random_graph(6, 0.4, rng)
             assert mb.delta(g).value == mb.delta(g, bruteforce=True).value
 
+    @pytest.mark.parametrize("source", ["labeled_n_le_5", "interleaved_unions"])
+    def test_delta_witnesses_match_global_scan(self, source, rng):
+        if source == "labeled_n_le_5":
+            graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
+        else:
+            graphs = [interleaved_union(rng) for _ in range(100)]
+        for g in graphs:
+            ref = first_linear_optima(g)
+            for w in (mb.delta(g, bruteforce=True), mb.delta_plus(g)):
+                assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], g.graph6()
+
     def test_delta_brute_cap(self):
         with pytest.raises(DeletionError):
             mb.delta(Graph.from_edges(17), bruteforce=True)
@@ -156,6 +198,16 @@ class TestCaps:
             g = random_graph(6, 0.5, rng)
             assert mb.t_minus(g).s == mb.t_minus(g, capped=False).s
             assert mb.t_plus(g).s == mb.t_plus(g, capped=False).s
+
+    def test_t_work_cap(self):
+        for op in (mb.t_minus, mb.t_plus):
+            start = time.perf_counter()
+            with pytest.raises(DeletionError):
+                op(mb.complete_graph(40))
+            assert time.perf_counter() - start < 0.5
+        # forests and cycles stay within the cap at any size
+        assert mb.t_minus(mb.path_graph(300)).value == 1
+        assert mb.t_plus(mb.cycle_graph(60)).value == 2
 
     def test_light_values_agree_with_ops(self, rng):
         for _ in range(40):

@@ -292,6 +292,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="3 cells"):
             mb.load_reports_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("data,where", [
+        ([{"graph6": "@"}], "record 0 .*KeyError\\('n'\\)"),
+        ({"a": 1}, "not an array"),
+        ([1], "record 0 "),
+        ("bad_witnesses", "record 1 "),
+    ])
+    def test_malformed_json_rejected(self, data, where):
+        if data == "bad_witnesses":
+            good = mb.compute_report(mb.path_graph(3)).to_dict()
+            data = [good, dict(good, witnesses=[1])]
+        with pytest.raises(ValueError, match=where):
+            mb.load_reports_json(io.StringIO(json.dumps(data)))
+
     def test_emit_is_deterministic(self):
         reps = self.reports()[:2]
         a, b = io.StringIO(), io.StringIO()
