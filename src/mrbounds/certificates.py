@@ -455,7 +455,8 @@ def m_sandwich(
     above t_minus; the first verified convergence sets numeric_lower.  A
     numeric claim exceeding the exact upper bound, or forest bounds that
     disagree, is a contradiction and raises CertificateConflict instead of
-    being reported.
+    being reported.  ``compute_report`` computes each exact bound once and
+    hands the values to the same sandwich instead of searching them again.
 
     ``m_exact`` is set only when the lower bound meets min(z, t_plus).  When
     M itself lies below min(z, t_plus) it stays None however good the
@@ -466,6 +467,14 @@ def m_sandwich(
     tp = _t_plus_op(g).value
     dp = _delta_plus_op(g).value
     z, _ = zero_forcing_number(g)
+    return _sandwich(g, tm, z, tp, dp, numeric=numeric, delta=delta, tol=tol,
+                     max_iter=max_iter, restarts=restarts, seed=seed)
+
+
+def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = True,
+              delta: float = DELTA_DEFAULT, tol: float = TOL_DEFAULT, max_iter: int = MAX_ITER_DEFAULT,
+              restarts: int = RESTARTS_DEFAULT, seed: int = 0) -> MSandwich:
+    """m_sandwich on exact bound values already computed for g."""
     upper = min(z, tp)
     numeric_lower: int | None = None
     if classify(g).is_forest:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     ForestDecomposition,
@@ -41,7 +40,6 @@ __all__ = [
     "DeletionWitness",
     "delta",
     "delta_plus",
-    "enumerate_feedback_sets",
     "reduce_optimal_set",
     "t_minus",
     "t_plus",
@@ -156,6 +154,8 @@ def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
 
 def _search(g: Graph, parameter: str, capped: bool = True) -> DeletionWitness:
     count, minimize, cycle_capped = _PARAMETERS[parameter]
+    if not cycle_capped and g.n > DELTA_BRUTE_MAX_N:
+        raise DeletionError(f"{parameter} search capped at n={DELTA_BRUTE_MAX_N}")
     adj = g.adj
     full = (1 << g.n) - 1
     value = cover = 0
@@ -216,10 +216,12 @@ def delta(g: Graph, *, bruteforce: bool = False) -> DeletionWitness:
     (needs n <= DELTA_BRUTE_MAX_N) and returns the canonical smallest witness.
     """
     if bruteforce:
-        if g.n > DELTA_BRUTE_MAX_N:
-            raise DeletionError(f"brute-force delta capped at n={DELTA_BRUTE_MAX_N}")
         return _search(g, "delta")
-    base = t_minus(g)
+    return _delta_from(g, t_minus(g))
+
+
+def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
+    """The default delta witness, upgraded from g's t_minus witness ``base``."""
     forest, labels = delete_vertices(g, base.s)
     cover = min_path_cover(forest)
     s = set(base.s)
@@ -233,24 +235,11 @@ def delta(g: Graph, *, bruteforce: bool = False) -> DeletionWitness:
 
 def delta_plus(g: Graph) -> DeletionWitness:
     """min of p + |S| over deletion sets leaving p disjoint paths (n <= 16)."""
-    if g.n > DELTA_BRUTE_MAX_N:
-        raise DeletionError(f"delta_plus search capped at n={DELTA_BRUTE_MAX_N}")
     return _search(g, "delta_plus")
 
 
 # ---------------------------------------------------------------------------
 # feedback set utilities
-
-def enumerate_feedback_sets(g: Graph, max_size: int | None = None) -> Iterator[frozenset[int]]:
-    """Yield every deletion set leaving a forest, ascending by (size, lex)."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    limit = g.n if max_size is None else min(max_size, g.n)
-    for q in range(limit + 1):
-        for sub in itertools.combinations(range(g.n), q):
-            if _is_forest_mask(adj, full & ~_mask_of(sub)):
-                yield frozenset(sub)
-
 
 def reduce_optimal_set(g: Graph, s, parameter: str = "t_minus") -> frozenset[int]:
     """Shrink an optimal t_minus or t_plus deletion set within its optimum.

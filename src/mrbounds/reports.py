@@ -22,9 +22,10 @@ from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator
 
-from .certificates import m_sandwich
+# delta and m_sandwich are unused here but stay reports attributes for perfbench
+from .certificates import _sandwich, m_sandwich
 from .core import Graph, _component_masks, _is_forest_mask, classify
-from .deletion import _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
+from .deletion import _delta_from, _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
 
@@ -83,13 +84,18 @@ class ParameterReport:
 
     @staticmethod
     def from_dict(d: dict) -> "ParameterReport":
-        """Inverse of to_dict; an absent defaulted key takes its default."""
+        """Inverse of to_dict; a defaulted key may be absent, a mistyped value raises TypeError."""
         kwargs = {}
         for f in fields(ParameterReport):
             if f.name == "witnesses":
-                kwargs[f.name] = {k: tuple(v) for k, v in d.get(f.name, {}).items()}
+                w = d.get(f.name, {})
+                if any(type(v) is not list or any(type(x) is not int for x in v) for v in w.values()):
+                    raise TypeError(f"witnesses {w!r} are not lists of ints")
+                kwargs[f.name] = {k: tuple(v) for k, v in w.items()}
             elif f.default is MISSING or f.name in d:
-                kwargs[f.name] = bool(d[f.name]) if f.type == "bool" else d[f.name]
+                if type(d[f.name]) not in _JSON_TYPES[f.type]:
+                    raise TypeError(f"{f.name} {d[f.name]!r} is not {f.type}")
+                kwargs[f.name] = d[f.name]
         return ParameterReport(**kwargs)
 
 
@@ -180,24 +186,20 @@ def compute_report(g: Graph, *, with_numeric: bool = False, seed: int = 0) -> Pa
 
     The delta witness comes from the t_minus upgrade (the two values agree by
     theorem); corpus verification recomputes delta independently instead.
-    Numeric certificate search runs only when ``with_numeric`` is set.
+    Each exact bound is computed once and handed to the sandwich; numeric
+    certificate search runs only when ``with_numeric`` is set.
     """
     tm_w = t_minus(g)
     tp_w = t_plus(g)
-    d_w = delta(g)
+    d_w = _delta_from(g, tm_w)
     dp_w = delta_plus(g)
     z_val, z_wit = zero_forcing_number(g)
     p = None
     if g.n <= BRUTE_INDUCED_COVER_MAX_N:
         p = induced_path_cover_bruteforce(g).size
-    sw = m_sandwich(g, numeric=with_numeric, seed=seed)
-    witnesses = {
-        "t_minus": tuple(sorted(tm_w.s)),
-        "t_plus": tuple(sorted(tp_w.s)),
-        "delta": tuple(sorted(d_w.s)),
-        "delta_plus": tuple(sorted(dp_w.s)),
-        "z": tuple(sorted(z_wit)),
-    }
+    sw = _sandwich(g, tm_w.value, z_val, tp_w.value, dp_w.value, numeric=with_numeric, seed=seed)
+    sets = (tm_w.s, tp_w.s, d_w.s, dp_w.s, z_wit)
+    witnesses = {key: tuple(sorted(s)) for key, s in zip(_WITNESS_KEYS, sets)}
     return ParameterReport(
         graph6=g.graph6(),
         n=g.n,
@@ -371,14 +373,16 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
 # ---------------------------------------------------------------------------
 # serialization
 
-# CSV cell -> field value, by field annotation (a string here, under
-# ``from __future__ import annotations``)
+# By field annotation (a string here, under ``from __future__ import
+# annotations``): CSV cell -> field value, and the JSON value types a field
+# takes, matched exactly so that a JSON bool is no int
 _CELL_PARSERS = {
     "str": str,
     "int": int,
     "bool": lambda cell: cell == "true",
     "int | None": lambda cell: None if cell == "" else int(cell),
 }
+_JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "int | None": (int, type(None))}
 
 
 def _witness_cell(report: ParameterReport, key: str) -> str:

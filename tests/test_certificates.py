@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrbounds as mb
+from mrbounds import certificates
 
 
 class TestSampleAndProjectPattern:
@@ -224,6 +225,19 @@ class TestMSandwich:
         s = mb.m_sandwich(mb.wheel_graph(5), numeric=False)
         assert s.numeric_lower is None and s.m_exact is None
         assert s.lower == -1 and s.upper == 3
+
+    def test_wrong_z_on_forest_conflicts(self, monkeypatch):
+        # m_sandwich searches its own bounds: a wrong Z where it reads Z
+        # breaks t_minus = z = t_plus on a forest
+        real = certificates.zero_forcing_number
+
+        def wrong_z(g):
+            z, witness = real(g)
+            return z - 1, witness
+
+        monkeypatch.setattr(certificates, "zero_forcing_number", wrong_z)
+        with pytest.raises(mb.CertificateConflict, match="forest bounds disagree"):
+            mb.m_sandwich(mb.path_graph(4))
 
     def test_complete_graph(self):
         s = mb.m_sandwich(mb.complete_graph(4))

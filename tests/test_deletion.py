@@ -231,23 +231,6 @@ class TestAdditivity:
                 assert op(g).value == op(a).value + op(b).value
 
 
-class TestFeedbackSets:
-    def test_enumeration_order_and_content(self):
-        sets = list(mb.enumerate_feedback_sets(mb.cycle_graph(4)))
-        assert sets[:4] == [frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3})]
-        sizes = [len(s) for s in sets]
-        assert sizes == sorted(sizes)
-        assert len(sets) == 2 ** 4 - 1  # every nonempty subset breaks C_4
-
-    def test_max_size(self):
-        sets = list(mb.enumerate_feedback_sets(mb.cycle_graph(5), max_size=1))
-        assert sets == [frozenset({v}) for v in range(5)]
-
-    def test_forest_includes_empty(self):
-        sets = list(mb.enumerate_feedback_sets(mb.path_graph(3), max_size=0))
-        assert sets == [frozenset()]
-
-
 class TestReduceOptimalSet:
     def test_cycle_reduction(self):
         assert mb.reduce_optimal_set(mb.cycle_graph(5), {0, 2}) == frozenset({2})

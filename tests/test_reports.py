@@ -4,11 +4,12 @@ two serialization formats."""
 import dataclasses
 import io
 import json
+import random
 
 import pytest
 
 import mrbounds as mb
-from mrbounds import reports
+from mrbounds import certificates, deletion, reports
 from conftest import random_graph
 
 
@@ -75,6 +76,65 @@ class TestComputeReport:
             r = mb.compute_report(mb.path_graph(n))
             assert (r.t_minus, r.t_plus, r.z) == (1, 1, 1)
             assert r.chain_ok and r.m_exact == 1
+
+
+def _equivalence_graphs():
+    graphs = [mb.cycle_graph(n) for n in range(4, 9)]
+    graphs += [mb.wheel_graph(n) for n in range(5, 8)]
+    graphs += [mb.sun_graph(3), mb.sun_graph(5), mb.generate_family("fig3")]
+    rng = random.Random(6)
+    graphs += [random_graph(rng.randint(9, 11), rng.choice((0.2, 0.35, 0.6)), rng) for _ in range(20)]
+    return graphs
+
+
+class TestComputeReportSharesSearches:
+    """compute_report computes each exact bound once and hands it on; its
+    values and witnesses must match the public entry points, each of which
+    searches on its own."""
+
+    @pytest.mark.parametrize("g", _equivalence_graphs(), ids=lambda g: g.graph6())
+    def test_matches_public_entry_points(self, g):
+        r = mb.compute_report(g)
+        z, z_wit = mb.zero_forcing_number(g)
+        sw = mb.m_sandwich(g, numeric=False)
+        for name, w in (("t_minus", mb.t_minus(g)), ("t_plus", mb.t_plus(g)),
+                        ("delta", mb.delta(g)), ("delta_plus", mb.delta_plus(g))):
+            assert getattr(r, name) == w.value
+            assert r.witnesses[name] == tuple(sorted(w.s))
+        assert (r.z, r.witnesses["z"]) == (z, tuple(sorted(z_wit)))
+        assert (r.m_lower_numeric, r.m_exact) == (sw.numeric_lower, sw.m_exact)
+        assert (sw.t_minus, sw.z, sw.t_plus, sw.delta_plus) == (r.t_minus, r.z, r.t_plus, r.delta_plus)
+
+    @pytest.mark.parametrize("g", [mb.cycle_graph(5), mb.wheel_graph(6)], ids=["C5", "W6"])
+    def test_numeric_matches_m_sandwich(self, g):
+        r = mb.compute_report(g, with_numeric=True)
+        sw = mb.m_sandwich(g, numeric=True)
+        assert (r.m_lower_numeric, r.m_exact) == (sw.numeric_lower, sw.m_exact)
+
+    def test_each_search_runs_once(self, monkeypatch):
+        # every name under which a search is reached, by the search it runs
+        sites = {
+            "t_minus": [(reports, "t_minus"), (deletion, "t_minus"), (certificates, "_t_minus_op")],
+            "t_plus": [(reports, "t_plus"), (certificates, "_t_plus_op")],
+            "delta_plus": [(reports, "delta_plus"), (certificates, "_delta_plus_op")],
+            "zero_forcing_number": [(reports, "zero_forcing_number"),
+                                    (certificates, "zero_forcing_number")],
+        }
+        calls = dict.fromkeys(sites, 0)
+
+        def counted(search, fn):
+            def wrapper(*args, **kwargs):
+                calls[search] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for search, names in sites.items():
+            for owner, attr in names:
+                monkeypatch.setattr(owner, attr, counted(search, getattr(owner, attr)))
+        for g in (mb.wheel_graph(6), mb.sun_graph(3), mb.path_graph(5)):
+            calls.update(dict.fromkeys(sites, 0))
+            mb.compute_report(g, with_numeric=True)
+            assert calls == dict.fromkeys(sites, 1)
 
 
 class TestCheckChain:
@@ -303,6 +363,18 @@ class TestSerialization:
             good = mb.compute_report(mb.path_graph(3)).to_dict()
             data = [good, dict(good, witnesses=[1])]
         with pytest.raises(ValueError, match=where):
+            mb.load_reports_json(io.StringIO(json.dumps(data)))
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", "x"),
+        ("chain_ok", "no"),
+        ("m_exact", True),
+        ("witnesses", {"z": [0, "1"]}),
+    ])
+    def test_mistyped_json_rejected(self, key, value):
+        good = mb.compute_report(mb.path_graph(3)).to_dict()
+        data = [good, dict(good, **{key: value})]
+        with pytest.raises(ValueError, match=f"record 1 .*{key}"):
             mb.load_reports_json(io.StringIO(json.dumps(data)))
 
     def test_emit_is_deterministic(self):
