@@ -437,26 +437,19 @@ class MSandwich:
         return min(self.z, self.t_plus)
 
 
-def m_sandwich(
-    g: Graph,
-    *,
-    numeric: bool = True,
-    delta: float = DELTA_DEFAULT,
-    tol: float = TOL_DEFAULT,
-    max_iter: int = MAX_ITER_DEFAULT,
-    restarts: int = RESTARTS_DEFAULT,
-    seed: int = 0,
-) -> MSandwich:
+def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     """Pin the maximum multiplicity between combinatorial and numeric bounds.
 
     Forests need no numerics (the bounds collapse).  Otherwise, when the
     exact bounds leave a gap and ``numeric`` is on, rank certificates are
     tried at descending nullity targets from the upper bound down to just
-    above t_minus; the first verified convergence sets numeric_lower.  A
-    numeric claim exceeding the exact upper bound, or forest bounds that
-    disagree, is a contradiction and raises CertificateConflict instead of
-    being reported.  ``compute_report`` computes each exact bound once and
-    hands the values to the same sandwich instead of searching them again.
+    above t_minus; the first verified convergence sets numeric_lower.  Each
+    target runs certificate_search at its default settings from ``seed``;
+    call certificate_search directly for other settings.  A numeric claim
+    exceeding the exact upper bound, or forest bounds that disagree, is a
+    contradiction and raises CertificateConflict instead of being reported.
+    ``compute_report`` computes each exact bound once and hands the values
+    to the same sandwich instead of searching them again.
 
     ``m_exact`` is set only when the lower bound meets min(z, t_plus).  When
     M itself lies below min(z, t_plus) it stays None however good the
@@ -467,13 +460,11 @@ def m_sandwich(
     tp = _t_plus_op(g).value
     dp = _delta_plus_op(g).value
     z, _ = zero_forcing_number(g)
-    return _sandwich(g, tm, z, tp, dp, numeric=numeric, delta=delta, tol=tol,
-                     max_iter=max_iter, restarts=restarts, seed=seed)
+    return _sandwich(g, tm, z, tp, dp, numeric=numeric, seed=seed)
 
 
 def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = True,
-              delta: float = DELTA_DEFAULT, tol: float = TOL_DEFAULT, max_iter: int = MAX_ITER_DEFAULT,
-              restarts: int = RESTARTS_DEFAULT, seed: int = 0) -> MSandwich:
+              seed: int = 0) -> MSandwich:
     """m_sandwich on exact bound values already computed for g."""
     upper = min(z, tp)
     numeric_lower: int | None = None
@@ -488,10 +479,7 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
     else:
         if numeric:
             for k in range(min(upper, g.n), max(tm, 0), -1):
-                cert = certificate_search(
-                    g, g.n - k, delta=delta, tol=tol,
-                    max_iter=max_iter, restarts=restarts, seed=seed,
-                )
+                cert = certificate_search(g, g.n - k, seed=seed)
                 if cert.converged and verify_certificate(cert):
                     numeric_lower = k
                     break
@@ -522,8 +510,25 @@ def certificate_to_json(c: RankCertificate) -> str:
     return json.dumps(payload, indent=2)
 
 
+# JSON value types of each certificate key, matched exactly so that a JSON
+# bool is no number; "entries" and "sigma" are lists of numbers
+_REAL = (int, float)
+_CERTIFICATE_TYPES = {"n": (int,), "graph6": (str,), "r": (int,), "entries": (list,), "delta": _REAL,
+                      "tol": _REAL, "sigma": (list,), "converged": (bool,), "iterations": (int,)}
+
+
 def certificate_from_json(text: str) -> RankCertificate:
+    """Inverse of certificate_to_json.  A missing key, or a value whose JSON
+    type does not match the field, raises CertificateError."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise CertificateError("certificate JSON is not an object")
+    for key, types in _CERTIFICATE_TYPES.items():
+        if type(d.get(key)) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise CertificateError(f"certificate key {key!r} is missing or not {names}: {d.get(key)!r}")
+    if any(type(x) not in _REAL for x in d["entries"] + d["sigma"]):
+        raise CertificateError("certificate entries and sigma must hold numbers only")
     g = parse_graph6(d["graph6"])
     if g.n != d["n"]:
         raise CertificateError(f"graph6 has n={g.n} but record says n={d['n']}")
@@ -532,11 +537,11 @@ def certificate_from_json(text: str) -> RankCertificate:
     matrix = PatternMatrix(entries, g, float(d["delta"]))
     return RankCertificate(
         matrix,
-        int(d["r"]),
+        d["r"],
         tuple(float(x) for x in d["sigma"]),
         float(d["tol"]),
-        bool(d["converged"]),
-        int(d["iterations"]),
+        d["converged"],
+        d["iterations"],
     )
 
 

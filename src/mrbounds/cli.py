@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: compute, family, verify-chain, survey, certify, zf.
-Exit codes: 0 success, 1 verification failure or chain violation, 2 usage.
+Exit codes: 0 success; 1 verification failure (a chain violation, a
+certificate search that did not converge, or bounds that contradict each
+other); 2 usage error, such as a bad graph6 record or rank target.
 """
 
 from __future__ import annotations

@@ -96,10 +96,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -161,6 +157,21 @@ def _edge_count(adj, mask: int) -> int:
 def _is_forest_mask(adj, mask: int) -> bool:
     # acyclic iff edges = vertices - components
     return _edge_count(adj, mask) == mask.bit_count() - len(_component_masks(adj, mask))
+
+
+def _path_count(adj, mask: int):
+    """Path count p of G[mask] if it is a linear forest, else None."""
+    w = mask.bit_count()
+    e = 0
+    for v in _bits(mask):
+        d = (adj[v] & mask).bit_count()
+        if d > 2:
+            return None
+        e += d
+    e //= 2
+    if e != w - len(_component_masks(adj, mask)):
+        return None
+    return w - e
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +482,11 @@ _PARAMETRIC_KINDS = {
 
 
 def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
-    """Build a member of a named family.
+    """Build a member of a named family; the kinds are the CLI's ``--kind`` choices.
 
     Kinds: path, cycle, star, wheel, sun, complete (all take ``n``);
-    genstar / generalized_star (extras: legs, leg_length; ``n`` ignored);
-    unicyclic / unicyclic_family (extras: path_length defaulting to ``n``,
+    genstar (generalized_star; extras: legs, leg_length; ``n`` ignored);
+    unicyclic (unicyclic_family; extras: path_length defaulting to ``n``,
     chord_path_length defaulting to 2); fig1, fig3, fig4 (fixed graphs).
     """
     if kind in _PARAMETRIC_KINDS:
@@ -484,13 +495,13 @@ def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
         if n is None:
             raise FamilyError(f"kind {kind!r} needs n")
         return _PARAMETRIC_KINDS[kind](n)
-    if kind in ("genstar", "generalized_star"):
+    if kind == "genstar":
         legs = extra.pop("legs", 3)
         leg_length = extra.pop("leg_length", 2)
         if extra:
             raise FamilyError(f"unknown parameters {sorted(extra)} for {kind!r}")
         return generalized_star(legs, leg_length)
-    if kind in ("unicyclic", "unicyclic_family"):
+    if kind == "unicyclic":
         path_length = extra.pop("path_length", n if n is not None else 5)
         chord = extra.pop("chord_path_length", 2)
         if extra:

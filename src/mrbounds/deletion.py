@@ -31,6 +31,7 @@ from .core import (
     _edge_count,
     _is_forest_mask,
     _mask_of,
+    _path_count,
     delete_vertices,
 )
 from .pathcover import _tree_cover_count, min_path_cover
@@ -80,21 +81,6 @@ def _forest_cover(adj, rest: int):
     if _edge_count(adj, rest) != rest.bit_count() - len(comps):
         return None
     return sum(_tree_cover_count(adj, cm) for cm in comps)
-
-
-def _path_count(adj, mask: int):
-    """Path count p of G[mask] if it is a linear forest, else None."""
-    w = mask.bit_count()
-    e = 0
-    for v in _bits(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > 2:
-            return None
-        e += d
-    e //= 2
-    if e != w - len(_component_masks(adj, mask)):
-        return None
-    return w - e
 
 
 # parameter -> (leftover count, minimize, capped by the cycle space); delta+-
@@ -241,7 +227,7 @@ def delta_plus(g: Graph) -> DeletionWitness:
 # ---------------------------------------------------------------------------
 # feedback set utilities
 
-def reduce_optimal_set(g: Graph, s, parameter: str = "t_minus") -> frozenset[int]:
+def reduce_optimal_set(g: Graph, s) -> frozenset[int]:
     """Shrink an optimal t_minus or t_plus deletion set within its optimum.
 
     Dropping a vertex from a deletion set, when the remainder still leaves a
@@ -252,8 +238,6 @@ def reduce_optimal_set(g: Graph, s, parameter: str = "t_minus") -> frozenset[int
     the cycle space dimension: each of their vertices owns a private cycle,
     and private cycles are linearly independent.
     """
-    if parameter not in ("t_minus", "t_plus"):
-        raise DeletionError(f"unknown parameter {parameter!r}")
     s = set(s)
     for v in s:
         if not 0 <= v < g.n:

@@ -97,14 +97,15 @@ def _min_forcing_set(adj, n: int) -> tuple[int, ...]:
     raise AssertionError("the full vertex set always forces")
 
 
-def zero_forcing_number(g: Graph, *, max_n: int = Z_SEARCH_MAX_N) -> tuple[int, frozenset[int]]:
+def zero_forcing_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Smallest size of a set that forces all of g, with its witness.
 
     Enumerates candidate sets by increasing size, lexicographically within a
-    size, so the witness is the lexicographically smallest optimum.
+    size, so the witness is the lexicographically smallest optimum.  Graphs
+    with more than Z_SEARCH_MAX_N vertices raise ForcingError.
     """
-    if g.n > max_n:
-        raise ForcingError(f"zero forcing search capped at n={max_n}")
+    if g.n > Z_SEARCH_MAX_N:
+        raise ForcingError(f"zero forcing search capped at n={Z_SEARCH_MAX_N}")
     sub = _min_forcing_set(g.adj, g.n)
     return len(sub), frozenset(sub)
 

@@ -15,6 +15,7 @@ from .core import (
     _bits,
     _component_masks,
     _edge_count,
+    _path_count,
 )
 
 __all__ = [
@@ -49,9 +50,6 @@ class PathCover:
     @property
     def size(self) -> int:
         return len(self.paths)
-
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
 
 
 def _validate_cover(g: Graph, cover: PathCover) -> None:
@@ -183,20 +181,10 @@ def path_cover_bruteforce(g: Graph) -> PathCover:
                     break
             if not ok:
                 continue
-            sg = Graph(g.n, frozenset(sub))
-            if _is_linear_forest_graph(sg):
+            if _path_count(Graph(g.n, frozenset(sub)).adj, (1 << g.n) - 1) is not None:
                 best = list(sub)
                 break
     return _paths_from_linear_edges(g.n, best)
-
-
-def _is_linear_forest_graph(g: Graph) -> bool:
-    adj = g.adj
-    full = (1 << g.n) - 1
-    comps = _component_masks(adj, full)
-    if _edge_count(adj, full) != g.n - len(comps):
-        return False
-    return all(adj[v].bit_count() <= 2 for v in range(g.n))
 
 
 def _paths_from_linear_edges(n: int, edges) -> PathCover:

@@ -181,13 +181,13 @@ def _isomorphism_classes(n: int, connected_only: bool = False) -> Iterator[tuple
 # ---------------------------------------------------------------------------
 # reports
 
-def compute_report(g: Graph, *, with_numeric: bool = False, seed: int = 0) -> ParameterReport:
+def compute_report(g: Graph, *, with_numeric: bool = False) -> ParameterReport:
     """Full parameter report for one graph.
 
     The delta witness comes from the t_minus upgrade (the two values agree by
     theorem); corpus verification recomputes delta independently instead.
-    Each exact bound is computed once and handed to the sandwich; numeric
-    certificate search runs only when ``with_numeric`` is set.
+    Each exact bound is computed once and handed to the sandwich, which runs
+    the certificate searches of ``m_sandwich(g)`` only with ``with_numeric``.
     """
     tm_w = t_minus(g)
     tp_w = t_plus(g)
@@ -197,7 +197,7 @@ def compute_report(g: Graph, *, with_numeric: bool = False, seed: int = 0) -> Pa
     p = None
     if g.n <= BRUTE_INDUCED_COVER_MAX_N:
         p = induced_path_cover_bruteforce(g).size
-    sw = _sandwich(g, tm_w.value, z_val, tp_w.value, dp_w.value, numeric=with_numeric, seed=seed)
+    sw = _sandwich(g, tm_w.value, z_val, tp_w.value, dp_w.value, numeric=with_numeric)
     sets = (tm_w.s, tp_w.s, d_w.s, dp_w.s, z_wit)
     witnesses = {key: tuple(sorted(s)) for key, s in zip(_WITNESS_KEYS, sets)}
     return ParameterReport(
@@ -273,7 +273,6 @@ def verify_chain_corpus(
     connected_only: bool = False,
     *,
     long_run: bool = False,
-    progress: bool = False,
 ) -> list[dict]:
     """Check the chain on every labeled graph with 1 <= n <= max_n.
 
@@ -289,15 +288,13 @@ def verify_chain_corpus(
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?
-        for i, (g, c) in enumerate(_isomorphism_classes(n, connected_only)):
+        for g, c in _isomorphism_classes(n, connected_only):
             if c == len(failing):
                 hits = check_chain(_light_report(g))
                 failing.append(bool(hits))
                 violations.extend(hits)
             elif failing[c]:
                 violations.extend(check_chain(_light_report(g)))
-            if progress and n >= 7 and i % 100000 == 0:
-                print(f"n={n}: {i} graphs checked", file=sys.stderr)
     return violations
 
 
@@ -374,14 +371,8 @@ def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dic
 # serialization
 
 # By field annotation (a string here, under ``from __future__ import
-# annotations``): CSV cell -> field value, and the JSON value types a field
-# takes, matched exactly so that a JSON bool is no int
-_CELL_PARSERS = {
-    "str": str,
-    "int": int,
-    "bool": lambda cell: cell == "true",
-    "int | None": lambda cell: None if cell == "" else int(cell),
-}
+# annotations``): the JSON value types a field takes, matched exactly so that
+# a JSON bool is no int.  Both loaders check values against it.
 _JSON_TYPES = {"str": (str,), "int": (int,), "bool": (bool,), "int | None": (int, type(None))}
 
 
@@ -458,8 +449,23 @@ def load_reports_json(source) -> list[ParameterReport]:
     return out
 
 
+def _cell_value(cell: str, column: str):
+    """The JSON value in a CSV cell; an empty cell is None."""
+    try:
+        return None if cell == "" else json.loads(cell)
+    except ValueError:
+        raise ValueError(f"{column} cell {cell!r} is not a JSON value") from None
+
+
+def _witness_value(cell: str, column: str) -> list:
+    """The vertex list in a witness cell: "-" is empty, else semicolon-joined."""
+    return [] if cell == "-" else [_cell_value(tok, column) for tok in cell.split(";")]
+
+
 def load_reports_csv(source) -> list[ParameterReport]:
-    """Read back a CSV report table from a path or stream."""
+    """Read back a CSV report table from a path or stream.  Cells decode to
+    JSON values and ParameterReport.from_dict checks each row, as it checks a
+    JSON record; a bad row raises ValueError naming its index."""
     if hasattr(source, "read"):
         rows = list(csv.reader(source))
     else:
@@ -469,23 +475,22 @@ def load_reports_csv(source) -> list[ParameterReport]:
     if not rows or rows[0] != header:
         raise ValueError("missing or wrong CSV header")
 
-    def witness(cell: str) -> tuple[int, ...]:
-        if cell == "-":
-            return ()
-        return tuple(int(tok) for tok in cell.split(";"))
-
     out = []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:]):
         if not row:
             continue
         if len(row) != len(header):
-            raise ValueError(f"CSV row has {len(row)} cells, the header {len(header)}")
+            raise ValueError(f"CSV row {i} has {len(row)} cells, the header {len(header)}")
         cells = dict(zip(header, row))
-        kwargs = {f.name: _CELL_PARSERS[f.type](cells[f.name]) for f in _CSV_FIELDS}
-        kwargs["witnesses"] = {
-            key: witness(cells[f"witness_{key}"])
-            for key in _WITNESS_KEYS
-            if cells[f"witness_{key}"] != ""
-        }
-        out.append(ParameterReport(**kwargs))
+        try:
+            d = {f.name: cells[f.name] if f.name == "graph6" else _cell_value(cells[f.name], f.name)
+                 for f in _CSV_FIELDS}
+            d["witnesses"] = {
+                key: _witness_value(cells[f"witness_{key}"], f"witness_{key}")
+                for key in _WITNESS_KEYS
+                if cells[f"witness_{key}"] != ""
+            }
+            out.append(ParameterReport.from_dict(d))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"CSV row {i} is malformed: {exc!r}") from exc
     return out

@@ -184,6 +184,9 @@ def test_criterion_06_forest_collapse_and_cover_oracle():
 
 def test_criterion_07_multiplicity_certificates():
     failures = []
+    # m_sandwich searches at the package defaults; they must stay the pinned tolerances.
+    if (mb.DELTA_DEFAULT, mb.TOL_DEFAULT) != (DELTA, TOL):
+        failures.append(f"defaults {(mb.DELTA_DEFAULT, mb.TOL_DEFAULT)} != pinned {(DELTA, TOL)}")
     cases = []
     for n in range(4, 11):
         cases.append((f"cycle {n}", mb.cycle_graph(n), n - 2, 2))
@@ -214,7 +217,7 @@ def test_criterion_07_multiplicity_certificates():
             failures.append(f"{label}: rank {r} search did not converge")
         elif cert.m_lower < m_expected:
             failures.append(f"{label}: m_lower {cert.m_lower} < {m_expected}")
-        sw = mb.m_sandwich(g, delta=DELTA, tol=TOL)
+        sw = mb.m_sandwich(g)
         if label in open_brackets:
             if (sw.lower, sw.upper) != open_brackets[label]:
                 failures.append(f"{label}: bracket {(sw.lower, sw.upper)} != {open_brackets[label]}")
@@ -272,7 +275,7 @@ def test_criterion_09_deletion_set_reduction():
             sub, _ = mb.delete_vertices(g, cand)
             if mb.classify(sub).is_forest and score(cand) == w.value:
                 grown = cand
-        reduced = mb.reduce_optimal_set(g, grown, param)
+        reduced = mb.reduce_optimal_set(g, grown)
         k = mb.classify(g).p
         if not reduced <= grown:
             failures.append(f"trial {trial}: output not a subset")

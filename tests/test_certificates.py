@@ -264,6 +264,23 @@ class TestSerialization:
         assert np.array_equal(back.matrix.entries, c.matrix.entries)
         assert back.iterations == c.iterations
 
+    @pytest.mark.parametrize("key,value", [
+        ("converged", "false"),
+        ("r", 2.9),
+        ("sigma", None),  # None: the key is missing
+        ("entries", ["0.5"]),
+    ])
+    def test_mistyped_field_rejected(self, key, value):
+        import json
+
+        d = json.loads(mb.certificate_to_json(mb.certificate_search(mb.path_graph(3), 2)))
+        if value is None:
+            del d[key]
+        else:
+            d[key] = value
+        with pytest.raises(mb.CertificateError, match=key):
+            mb.certificate_from_json(json.dumps(d))
+
     def test_mismatched_n_rejected(self):
         import json
 

@@ -228,3 +228,6 @@ class TestFamilies:
             mb.generate_family("genstar", legs=0)
         with pytest.raises(FamilyError):
             mb.generate_family("unicyclic", 4)
+        for alias in ("generalized_star", "unicyclic_family"):  # one name per kind
+            with pytest.raises(FamilyError):
+                mb.generate_family(alias)

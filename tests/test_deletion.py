@@ -251,7 +251,7 @@ class TestReduceOptimalSet:
                     val = p + len(cand) if param == "t_plus" else p - len(cand)
                     if val == w.value:
                         grown = cand
-                reduced = mb.reduce_optimal_set(g, grown, param)
+                reduced = mb.reduce_optimal_set(g, grown)
                 assert reduced <= grown
                 k = mb.classify(g).p
                 assert len(reduced) <= g.m - g.n + k
@@ -263,8 +263,6 @@ class TestReduceOptimalSet:
     def test_rejects_non_feedback_input(self):
         with pytest.raises(DeletionError):
             mb.reduce_optimal_set(mb.wheel_graph(5), {0})
-        with pytest.raises(DeletionError):
-            mb.reduce_optimal_set(mb.cycle_graph(4), {0}, parameter="zeta")
         with pytest.raises(DeletionError):
             mb.reduce_optimal_set(mb.cycle_graph(4), {9})
 

@@ -112,8 +112,6 @@ class TestZeroForcingNumber:
     def test_search_cap(self):
         with pytest.raises(mb.ForcingError):
             mb.zero_forcing_number(mb.path_graph(17))
-        # raising the cap is allowed
-        assert mb.zero_forcing_number(mb.path_graph(17), max_n=17)[0] == 1
 
 
 class TestForcingSetFromTplus:

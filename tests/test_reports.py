@@ -377,6 +377,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"record 1 .*{key}"):
             mb.load_reports_json(io.StringIO(json.dumps(data)))
 
+    @pytest.mark.parametrize("column,cell", [
+        ("is_forest", "yes"),
+        ("chain_ok", "TRUE"),
+        ("is_forest", "1.5"),
+        ("z", "1.5"),
+        ("witness_z", "0;x"),
+    ])
+    def test_mistyped_csv_rejected(self, column, cell):
+        buf = io.StringIO()
+        mb.emit_report([mb.compute_report(mb.path_graph(3))] * 2, format="csv", destination=buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match=f"row 1 is malformed.*{column}"):
+            mb.load_reports_csv(io.StringIO(text))
+
     def test_emit_is_deterministic(self):
         reps = self.reports()[:2]
         a, b = io.StringIO(), io.StringIO()
