@@ -518,8 +518,10 @@ _CERTIFICATE_TYPES = {"n": (int,), "graph6": (str,), "r": (int,), "entries": (li
 
 
 def certificate_from_json(text: str) -> RankCertificate:
-    """Inverse of certificate_to_json.  A missing key, or a value whose JSON
-    type does not match the field, raises CertificateError."""
+    """Inverse of certificate_to_json.  A missing key, a value whose JSON
+    type does not match the field, ``entries`` that are not n^2 numbers,
+    ``sigma`` that is not n values, or ``r`` outside 0..n raises
+    CertificateError."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise CertificateError("certificate JSON is not an object")
@@ -532,6 +534,12 @@ def certificate_from_json(text: str) -> RankCertificate:
     g = parse_graph6(d["graph6"])
     if g.n != d["n"]:
         raise CertificateError(f"graph6 has n={g.n} but record says n={d['n']}")
+    if len(d["entries"]) != g.n * g.n:
+        raise CertificateError(f"certificate entries has {len(d['entries'])} numbers, need n^2 = {g.n * g.n}")
+    if len(d["sigma"]) != g.n:
+        raise CertificateError(f"certificate sigma has {len(d['sigma'])} values, need n = {g.n}")
+    if not 0 <= d["r"] <= g.n:
+        raise CertificateError(f"certificate r={d['r']} is outside 0..{g.n}")
     entries = np.array(d["entries"], dtype=float).reshape(g.n, g.n)
     entries.setflags(write=False)
     matrix = PatternMatrix(entries, g, float(d["delta"]))

@@ -14,6 +14,13 @@ and need n <= DELTA_BRUTE_MAX_N.  A component that would need more than
 2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  t_minus
 always equals delta; the default delta routine exploits that by upgrading a
 t_minus witness instead of searching.
+
+Every admissible leftover is a forest, and a forest on k >= 1 vertices has
+fewer than k edges.  The search therefore rejects, without a traversal, a
+deletion set whose kept set has at least as many edges as vertices (counted
+from vertex degrees), and a whole deletion-set size at which even the
+largest-degree vertices leave that many edges.  Those sets could never score,
+so the canonical witness is the same as without the rejections.
 """
 
 from __future__ import annotations
@@ -108,14 +115,25 @@ def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
     come in ascending (size, lex) order and only a strict improvement is kept,
     so the optimum recorded is canonical.  With ``capped`` the subset size
     stays within the component's cycle space dimension.
+
+    Two rejections keep kept sets K with a cycle from ``count``: a deletion
+    set S whose kept set has e(K) >= |K| > 0 edges, counted from degrees in
+    O(|S|), and a whole size level whose every kept set has that many.
+    ``count`` returns None on any cycle, so neither changes the scan order,
+    the improvement rule or the canonical witness.
     """
     vs = tuple(_bits(comp))
     nc = len(vs)
-    cap = _edge_count(adj, comp) - nc + 1
+    m_c = _edge_count(adj, comp)
+    cap = m_c - nc + 1
     limit = min(cap, nc) if capped else nc
     work = sum(math.comb(nc, q) for q in range(limit + 1))
     if work > 1 << DELTA_BRUTE_MAX_N:
         raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
+    # a component holds every neighbour of its vertices, so adj[v] is the
+    # degree within it
+    degrees = sorted((adj[v].bit_count() for v in vs), reverse=True)
+    top = 0  # sum of the q largest degrees
     best_val = None
     best_set = ()
     best_p = 0
@@ -125,8 +143,26 @@ def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
                 break
             if not minimize and nc - 2 * q <= best_val:
                 break
+        if q:
+            top += degrees[q - 1]
+        # A forest on k >= 1 vertices with c >= 1 components has k - c < k
+        # edges.  e(K) = m_c - sum of deg(v) over S + e(S) >= m_c - top, as
+        # e(S) >= 0, so if m_c - top >= nc - q > 0 every K of this size has
+        # a cycle.
+        if m_c - top >= nc - q > 0:
+            continue
         for sub in itertools.combinations(vs, q):
-            p = count(adj, comp & ~_mask_of(sub))
+            # e(K) = m_c - sum of deg(v) over S + e(S): take off the edges S
+            # meets, each once, at its first endpoint in S
+            kept = m_c
+            s = 0
+            for v in sub:
+                kept -= (adj[v] & ~s).bit_count()
+                s |= 1 << v
+            # e(K) >= |K| > 0 means a cycle; the empty kept set is a forest
+            if kept >= nc - q > 0:
+                continue
+            p = count(adj, comp & ~s)
             if p is None:
                 continue
             val = p + q if minimize else p - q

@@ -88,9 +88,16 @@ def forcing_closure(g: Graph, b) -> ForcingTrace:
 
 def _min_forcing_set(adj, n: int) -> tuple[int, ...]:
     """First forcing set in (size, lex) order: the lexicographically smallest
-    among the smallest."""
+    among the smallest.
+
+    The scan starts at the minimum degree d and rejects every smaller size
+    unseen: none of those sets forces, so the first forcing set found is the
+    same as from size 0.
+    """
     full = (1 << n) - 1
-    for k in range(n + 1):
+    # A forcing set S != V makes a first force u -> w, so S holds u and every
+    # neighbour of u but w: |S| >= deg(u) >= d.  S = V has n > d vertices.
+    for k in range(min((a.bit_count() for a in adj), default=0), n + 1):
         for sub in itertools.combinations(range(n), k):
             if _closure_mask(adj, _mask_of(sub)) == full:
                 return sub

@@ -84,11 +84,18 @@ class ParameterReport:
 
     @staticmethod
     def from_dict(d: dict) -> "ParameterReport":
-        """Inverse of to_dict; a defaulted key may be absent, a mistyped value raises TypeError."""
+        """Inverse of to_dict; a defaulted key may be absent, a mistyped value
+        raises TypeError, and a key that to_dict never writes raises ValueError."""
+        unknown = d.keys() - _FIELD_NAMES
+        if unknown:
+            raise ValueError(f"unknown report keys {sorted(unknown)}")
         kwargs = {}
         for f in fields(ParameterReport):
             if f.name == "witnesses":
                 w = d.get(f.name, {})
+                unknown = w.keys() - set(_WITNESS_KEYS)
+                if unknown:
+                    raise ValueError(f"witnesses has unknown keys {sorted(unknown)}")
                 if any(type(v) is not list or any(type(x) is not int for x in v) for v in w.values()):
                     raise TypeError(f"witnesses {w!r} are not lists of ints")
                 kwargs[f.name] = {k: tuple(v) for k, v in w.items()}
@@ -99,6 +106,7 @@ class ParameterReport:
         return ParameterReport(**kwargs)
 
 
+_FIELD_NAMES = frozenset(f.name for f in fields(ParameterReport))
 _CSV_FIELDS = tuple(f for f in fields(ParameterReport) if f.name != "witnesses")
 
 REPORT_CSV_HEADER = ",".join(
@@ -444,7 +452,7 @@ def load_reports_json(source) -> list[ParameterReport]:
     for i, d in enumerate(data):
         try:
             out.append(ParameterReport.from_dict(d))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"JSON record {i} is malformed: {exc!r}") from exc
     return out
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: labeled tree generation and random graphs."""
+"""Shared test helpers: labeled tree generation, random graphs and class
+representatives."""
 
 from __future__ import annotations
 
@@ -53,6 +54,17 @@ def random_tree(n: int, rng: random.Random) -> Graph:
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def class_representatives(n: int):
+    """The first labeled member of each isomorphism class on n vertices."""
+    from mrbounds.reports import _isomorphism_classes
+
+    seen = 0
+    for g, c in _isomorphism_classes(n):
+        if c == seen:
+            seen += 1
+            yield g
 
 
 @pytest.fixture

@@ -269,6 +269,11 @@ class TestSerialization:
         ("r", 2.9),
         ("sigma", None),  # None: the key is missing
         ("entries", ["0.5"]),
+        # the right types, but a size that does not fit the 3-vertex graph
+        ("entries", [1.0, 0.0, 0.0, 1.0]),
+        ("r", 7),
+        ("r", -1),
+        ("sigma", [1.0]),
     ])
     def test_mistyped_field_rejected(self, key, value):
         import json

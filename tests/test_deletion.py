@@ -1,15 +1,24 @@
 """Deletion parameters: golden values, witness canonicality, cap soundness."""
 
 import itertools
+import random
 import time
 
 import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.deletion import DeletionError, _delta_values, _t_values
+from mrbounds.core import _edge_count, _mask_of, _path_count
+from mrbounds.deletion import (
+    _PARAMETERS,
+    DeletionError,
+    _component_extremum,
+    _delta_values,
+    _forest_cover,
+    _t_values,
+)
 from mrbounds.reports import enumerate_small_graphs
-from conftest import random_graph, random_tree
+from conftest import class_representatives, random_graph, random_tree
 
 
 FIG1 = mb.generate_family("fig1")
@@ -72,6 +81,28 @@ def first_linear_optima(g):
                                       ("delta_plus", deco.p + q, int.__lt__)):
                 if name not in best or better(val, best[name][1]):
                     best[name] = (frozenset(sub), val, deco.p)
+    return best
+
+
+def first_optima(g):
+    """Reference for all four canonical deletion witnesses: scan every
+    deletion set of the whole graph in (size, lex) order, with no components,
+    no size cap and no cycle prechecks, and keep the first set with the
+    optimal score.  Returns {parameter: (set, value, leftover count)}."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    best = {}
+    for q in range(g.n + 1):
+        for sub in itertools.combinations(range(g.n), q):
+            rest = full & ~_mask_of(sub)
+            cover, paths = _forest_cover(adj, rest), _path_count(adj, rest)
+            for name, p, minimize in (("t_minus", cover, False), ("t_plus", cover, True),
+                                      ("delta", paths, False), ("delta_plus", paths, True)):
+                if p is None:
+                    continue
+                val = p + q if minimize else p - q
+                if name not in best or (val < best[name][1] if minimize else val > best[name][1]):
+                    best[name] = (frozenset(sub), val, p)
     return best
 
 
@@ -184,6 +215,43 @@ class TestWitnesses:
             mb.delta(Graph.from_edges(17), bruteforce=True)
         with pytest.raises(DeletionError):
             mb.delta_plus(Graph.from_edges(17))
+
+
+class TestPrunedKernel:
+    @pytest.mark.parametrize("source", ["labeled_n_le_5", "classes_n6", "complete_and_empty", "random_n9_11"])
+    def test_matches_plain_scan(self, source):
+        if source == "labeled_n_le_5":
+            graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
+        elif source == "classes_n6":
+            graphs = class_representatives(6)
+        elif source == "complete_and_empty":
+            graphs = [mb.complete_graph(n) for n in range(1, 8)] + [Graph.from_edges(n) for n in range(8)]
+        else:
+            rng = random.Random(20261018)
+            graphs = [random_graph(n, p, rng) for n in (9, 10, 11) for p in (0.2, 0.35, 0.6)]
+        for g in graphs:
+            ref = first_optima(g)
+            for w in (mb.t_minus(g), mb.t_plus(g), mb.delta(g, bruteforce=True), mb.delta_plus(g)):
+                assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (w.parameter, g.graph6())
+            assert _t_values(g.adj, g.n) == (ref["t_minus"][1], ref["t_plus"][1])
+
+    def test_count_never_sees_a_cyclic_kept_set(self):
+        # K8 less a 3-edge matching: most kept sets hold a cycle
+        missing = {(0, 1), (2, 3), (4, 5)}
+        g = Graph.from_edges(8, [e for e in itertools.combinations(range(8), 2) if e not in missing])
+        adj, comp = g.adj, (1 << g.n) - 1
+        ref = first_optima(g)
+        for name, (count, minimize, capped) in _PARAMETERS.items():
+            seen = []
+
+            def spy(adj, rest):
+                seen.append(rest)
+                return count(adj, rest)
+
+            value, s, p = _component_extremum(adj, comp, spy, minimize, capped)
+            assert (frozenset(s), value, p) == ref[name]
+            assert seen
+            assert all(rest == 0 or _edge_count(adj, rest) < rest.bit_count() for rest in seen), name
 
 
 class TestCaps:

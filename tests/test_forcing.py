@@ -1,10 +1,13 @@
 """Zero forcing: closure legality, frozen forcing numbers, and the
 t_plus-witness construction."""
 
+import itertools
+
 import pytest
 
 import mrbounds as mb
-from conftest import random_graph
+from mrbounds.forcing import _z_value
+from conftest import class_representatives, random_graph
 
 FIG4 = mb.generate_family("fig4")
 
@@ -22,6 +25,15 @@ def assert_legal_trace(g, trace):
     for u in trace.final:
         white = [w for w in g.neighbors(u) if w not in trace.final]
         assert len(white) != 1
+
+
+def first_forcing_set(g):
+    """Reference for the Z witness: a (size, lex) scan from size 0 through
+    forcing_closure."""
+    for k in range(g.n + 1):
+        for sub in itertools.combinations(range(g.n), k):
+            if mb.forcing_closure(g, sub).forces_all(g.n):
+                return k, frozenset(sub)
 
 
 class TestForcingClosure:
@@ -108,6 +120,16 @@ class TestZeroForcingNumber:
             tr = mb.forcing_closure(g, witness)
             assert tr.forces_all(g.n)
             assert_legal_trace(g, tr)
+
+    def test_witness_matches_scan_from_size_zero(self):
+        graphs = [g for n in range(7) for g in class_representatives(n)]
+        graphs += [mb.complete_graph(n) for n in range(8)]
+        graphs += [mb.star_graph(n) for n in range(2, 9)]
+        graphs += [mb.cycle_graph(n) for n in range(3, 9)]
+        for g in graphs:
+            ref = first_forcing_set(g)
+            assert mb.zero_forcing_number(g) == ref, g.graph6()
+            assert _z_value(g.adj, g.n) == ref[0]
 
     def test_search_cap(self):
         with pytest.raises(mb.ForcingError):

@@ -370,6 +370,9 @@ class TestSerialization:
         ("chain_ok", "no"),
         ("m_exact", True),
         ("witnesses", {"z": [0, "1"]}),
+        # keys that reports never write
+        ("bogus", 1),
+        ("witnesses", {"z": [0], "bogus": [1]}),
     ])
     def test_mistyped_json_rejected(self, key, value):
         good = mb.compute_report(mb.path_graph(3)).to_dict()
