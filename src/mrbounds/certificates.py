@@ -15,6 +15,7 @@ let the numerics override those.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,7 +521,8 @@ _CERTIFICATE_TYPES = {"n": (int,), "graph6": (str,), "r": (int,), "entries": (li
 def certificate_from_json(text: str) -> RankCertificate:
     """Inverse of certificate_to_json.  A missing key, a value whose JSON
     type does not match the field, ``entries`` that are not n^2 numbers,
-    ``sigma`` that is not n values, or ``r`` outside 0..n raises
+    ``sigma`` that is not n values, ``r`` outside 0..n, a ``delta`` that is
+    not a positive finite number, or a negative or non-finite ``tol`` raises
     CertificateError."""
     d = json.loads(text)
     if not isinstance(d, dict):
@@ -540,6 +542,10 @@ def certificate_from_json(text: str) -> RankCertificate:
         raise CertificateError(f"certificate sigma has {len(d['sigma'])} values, need n = {g.n}")
     if not 0 <= d["r"] <= g.n:
         raise CertificateError(f"certificate r={d['r']} is outside 0..{g.n}")
+    if not 0 < d["delta"] < math.inf:
+        raise CertificateError(f"certificate delta={d['delta']} is not a positive finite number")
+    if not 0 <= d["tol"] < math.inf:
+        raise CertificateError(f"certificate tol={d['tol']} is not a non-negative finite number")
     entries = np.array(d["entries"], dtype=float).reshape(g.n, g.n)
     entries.setflags(write=False)
     matrix = PatternMatrix(entries, g, float(d["delta"]))

@@ -15,16 +15,27 @@ and need n <= DELTA_BRUTE_MAX_N.  A component that would need more than
 always equals delta; the default delta routine exploits that by upgrading a
 t_minus witness instead of searching.
 
-Every admissible leftover is a forest, and a forest on k >= 1 vertices has
-fewer than k edges.  The search therefore rejects, without a traversal, a
-deletion set whose kept set has at least as many edges as vertices (counted
-from vertex degrees), and a whole deletion-set size at which even the
-largest-degree vertices leave that many edges.  Those sets could never score,
-so the canonical witness is the same as without the rejections.
+Each component's scan runs in (size, lex) order and keeps only strict
+improvements, and three cuts shorten it without changing its witness (the
+proofs are in _component_extremum's docstring):
+
+* every admissible leftover is a forest, and a forest on k >= 1 vertices
+  has fewer than k edges, so the depth-first walk over deletion sets drops
+  every prefix whose kept sets must all keep that many edges, counted from
+  vertex degrees with no traversal;
+* a minimizing search stops once |S| + 1 reaches its best score;
+* a maximizing search stops once min(|K|, alpha) - |S| cannot beat its
+  best, as by Gallai and Milgram (1960) the vertices of any graph split
+  into at most alpha(G) paths.
+
+The forest cover count is one level BFS per kept set: the BFS counts the
+components for the forest test, and its levels, deepest first, order the
+leaves-first greedy.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,12 +47,13 @@ from .core import (
     _component_masks,
     _decomposition_of_mask,
     _edge_count,
+    _independence_number,
     _is_forest_mask,
     _mask_of,
     _path_count,
     delete_vertices,
 )
-from .pathcover import _tree_cover_count, min_path_cover
+from .pathcover import _forest_cover, min_path_cover
 
 __all__ = [
     "DeletionError",
@@ -80,14 +92,12 @@ class DeletionWitness:
 # ---------------------------------------------------------------------------
 # the deletion search
 
-def _forest_cover(adj, rest: int):
-    """Forest cover number P of G[rest], or None if G[rest] has a cycle."""
-    # forest test inlined: comps also feeds the cover count, and
-    # _is_forest_mask would walk the components a second time
-    comps = _component_masks(adj, rest)
-    if _edge_count(adj, rest) != rest.bit_count() - len(comps):
-        return None
-    return sum(_tree_cover_count(adj, cm) for cm in comps)
+def _linear_count(adj, rest: int, edges: int):
+    """Path count p of G[rest] if it is a linear forest, else None.
+
+    ``edges`` goes unused: _path_count sums the degrees it checks anyway.
+    """
+    return _path_count(adj, rest)
 
 
 # parameter -> (leftover count, minimize, capped by the cycle space); delta+-
@@ -95,9 +105,62 @@ def _forest_cover(adj, rest: int):
 _PARAMETERS = {
     "t_minus": (_forest_cover, False, True),
     "t_plus": (_forest_cover, True, True),
-    "delta": (_path_count, False, False),
-    "delta_plus": (_path_count, True, False),
+    "delta": (_linear_count, False, False),
+    "delta_plus": (_linear_count, True, False),
 }
+
+
+def _suffix_degrees(adj, vs, limit: int) -> list[list[int]]:
+    """suffix[i][r]: the sum of the r largest degrees among vs[i:], for
+    r <= min(limit, len(vs) - i)."""
+    tail: list[int] = []  # the degrees of vs[i:], negated and sorted
+    suffix = [[0]]
+    for v in reversed(vs):
+        bisect.insort(tail, -adj[v].bit_count())
+        suffix.append(list(itertools.accumulate((-d for d in tail[:limit]), initial=0)))
+    suffix.reverse()
+    return suffix
+
+
+def _deletion_sets(adj, vs, q: int, edges: int, suffix):
+    """Yield (S, e(K)) for the q-subsets S of ``vs`` in lex order, as masks,
+    where K is the rest of ``vs`` and ``edges`` = e(vs).
+
+    The walk is depth first and carries S and e(K) as it goes: deleting v
+    takes off the edges v still has into K.  A prefix is dropped with all
+    its completions when even the r largest degrees among the candidates
+    left (``suffix`` from _suffix_degrees), r = q minus the prefix size,
+    leave e(K) >= |K| > 0: those kept sets all have a cycle.  At the root
+    this skips the whole size, and at a full set it rejects that set.  The
+    sets that remain come in the same order as itertools.combinations.
+    """
+    nc = len(vs)
+    # a kept set with this many edges has a cycle; the empty kept set has none
+    cyclic = max(nc - q, 1)
+    chosen = [0] * q  # chosen[j]: the index in vs of the j-th vertex of S
+    s_at = [0] * (q + 1)  # S and e(K) after the first j choices
+    e_at = [edges] * (q + 1)
+    j = i = 0  # j vertices chosen, the next candidate is vs[i]
+    while True:
+        r = q - j
+        e = e_at[j]
+        if nc - i >= r and e - suffix[i][r] < cyclic:
+            if not r:
+                yield s_at[j], e
+            else:
+                v = vs[i]
+                s = s_at[j]
+                chosen[j] = i
+                j += 1
+                i += 1
+                s_at[j] = s | 1 << v
+                e_at[j] = e - (adj[v] & ~s).bit_count()
+                continue
+        # this prefix is exhausted: move its last vertex on
+        if not j:
+            return
+        j -= 1
+        i = chosen[j] + 1
 
 
 # The per-component canonical optima unite to the global canonical witness,
@@ -110,17 +173,33 @@ _PARAMETERS = {
 def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
     """Optimal (value, deletion set, leftover count) on one connected component.
 
-    ``count(adj, rest)`` is the leftover count p of the kept set, or None if
-    the kept set is not admissible; the score is p + |S| or p - |S|.  Subsets
-    come in ascending (size, lex) order and only a strict improvement is kept,
-    so the optimum recorded is canonical.  With ``capped`` the subset size
-    stays within the component's cycle space dimension.
+    ``count(adj, rest, edges)`` is the leftover count p of the kept set K,
+    given e(K), or None if K is not admissible; the score is p + |S| or
+    p - |S|.  Subsets come in ascending (size, lex) order and only a strict
+    improvement is kept, so the optimum recorded is canonical.  With
+    ``capped`` the subset size stays within the component's cycle space
+    dimension.
 
-    Two rejections keep kept sets K with a cycle from ``count``: a deletion
-    set S whose kept set has e(K) >= |K| > 0 edges, counted from degrees in
-    O(|S|), and a whole size level whose every kept set has that many.
-    ``count`` returns None on any cycle, so neither changes the scan order,
-    the improvement rule or the canonical witness.
+    Three cuts shorten the scan; none changes its order, the improvement
+    rule or the canonical witness:
+
+    * Cyclic kept sets never reach ``count``.  A forest on k >= 1 vertices
+      has fewer than k edges, and deleting a vertex takes off at most its
+      degree, so a prefix of S whose kept set would keep e(K) >= |K| > 0
+      edges even after the largest degrees left to choose are deleted is
+      dropped whole (_deletion_sets).  ``count`` returns None on any cycle.
+    * A minimizing search stops at size q once q + 1 >= best: every later
+      set scores at least |S| + 1, as a nonempty kept set has p >= 1 (the
+      empty kept set scores nc, and nc >= q + 1 for any q < nc).
+    * A maximizing search stops at size q once min(nc - q, alpha) - q <=
+      best, where alpha is the component's independence number.  Both
+      sides fall as q grows.  p <= |K| = nc - q, and p <= alpha(K) <=
+      alpha: by Gallai and Milgram ("Verallgemeinerung eines
+      graphentheoretischen Satzes von Redei", Acta Sci. Math. Szeged 21,
+      1960) the vertices of any graph split into at most alpha paths, and a
+      linear forest's paths hold one independent vertex each.  alpha is
+      computed once, when the nc bound first fails to stop the scan, and
+      only for nc <= DELTA_BRUTE_MAX_N, so it stays within the work cap.
     """
     vs = tuple(_bits(comp))
     nc = len(vs)
@@ -132,46 +211,34 @@ def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
         raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
     # a component holds every neighbour of its vertices, so adj[v] is the
     # degree within it
-    degrees = sorted((adj[v].bit_count() for v in vs), reverse=True)
-    top = 0  # sum of the q largest degrees
+    suffix = _suffix_degrees(adj, vs, limit)
+    alpha = None
     best_val = None
-    best_set = ()
+    best_set = 0
     best_p = 0
     for q in range(limit + 1):
         if best_val is not None:
-            if minimize and q + 1 >= best_val:
+            if minimize:
+                if q + 1 >= best_val:
+                    break
+            elif nc - 2 * q <= best_val:
                 break
-            if not minimize and nc - 2 * q <= best_val:
-                break
-        if q:
-            top += degrees[q - 1]
-        # A forest on k >= 1 vertices with c >= 1 components has k - c < k
-        # edges.  e(K) = m_c - sum of deg(v) over S + e(S) >= m_c - top, as
-        # e(S) >= 0, so if m_c - top >= nc - q > 0 every K of this size has
-        # a cycle.
-        if m_c - top >= nc - q > 0:
-            continue
-        for sub in itertools.combinations(vs, q):
-            # e(K) = m_c - sum of deg(v) over S + e(S): take off the edges S
-            # meets, each once, at its first endpoint in S
-            kept = m_c
-            s = 0
-            for v in sub:
-                kept -= (adj[v] & ~s).bit_count()
-                s |= 1 << v
-            # e(K) >= |K| > 0 means a cycle; the empty kept set is a forest
-            if kept >= nc - q > 0:
-                continue
-            p = count(adj, comp & ~s)
+            elif nc <= DELTA_BRUTE_MAX_N:
+                if alpha is None:
+                    alpha = _independence_number(adj, comp)
+                if alpha - q <= best_val:
+                    break
+        for s, kept in _deletion_sets(adj, vs, q, m_c, suffix):
+            p = count(adj, comp & ~s, kept)
             if p is None:
                 continue
             val = p + q if minimize else p - q
             if best_val is None or (val < best_val if minimize else val > best_val):
                 best_val = val
-                best_set = sub
+                best_set = s
                 best_p = p
     assert best_val is not None
-    return best_val, best_set, best_p
+    return best_val, tuple(_bits(best_set)), best_p
 
 
 def _search(g: Graph, parameter: str, capped: bool = True) -> DeletionWitness:

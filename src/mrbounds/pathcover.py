@@ -130,28 +130,53 @@ def min_path_cover(g: Graph) -> PathCover:
     return cover
 
 
-def _tree_cover_count(adj, comp: int) -> int:
-    """Size of the minimum path cover of one tree component, count only.
+def _forest_cover(adj, mask: int, edges: int):
+    """Minimum path cover size of G[mask] if it is a forest, else None.
 
-    ``comp`` masks the tree's vertices; adjacency is intersected with it, so
-    ``adj`` may belong to a supergraph.
+    ``edges`` is e(G[mask]), which the caller already knows.  One bitmask
+    level BFS per component, from its lowest vertex, counts the components
+    c, and G[mask] is a forest iff edges = |mask| - c.  The cover count then
+    runs the greedy of min_path_cover over the BFS levels, deepest first,
+    with one mask of open path ends.  In a forest every edge joins adjacent
+    levels, so the open ends adjacent to v are exactly v's open children:
+    its parent lies one level up and is not yet processed, and no edge
+    stays within a level.  Every vertex is therefore seen after all its
+    children, as in the rooted greedy, and makes the same choice.
+    ``adj`` may belong to a supergraph: the BFS intersects it with ``mask``.
     """
-    parent, order = _rooted(adj, comp)
+    levels: list[int] = []  # levels[d]: the vertices at depth d, over all components
+    comps = 0
+    rest = mask
+    while rest:
+        frontier = rest & -rest
+        rest ^= frontier
+        depth = 0
+        while frontier:
+            if depth < len(levels):
+                levels[depth] |= frontier
+            else:
+                levels.append(frontier)
+            grown = 0
+            for v in _bits(frontier):
+                grown |= adj[v]
+            frontier = grown & rest
+            rest ^= frontier
+            depth += 1
+        comps += 1
+    if edges != mask.bit_count() - comps:
+        return None
     count = 0
-    open_end = set()
-    for v in reversed(order):
-        arms = 0
-        for w in _bits(adj[v] & comp):
-            if w != parent[v] and w in open_end:
-                open_end.discard(w)
-                arms += 1
-        if arms == 0:
-            count += 1
-            open_end.add(v)
-        elif arms == 1:
-            open_end.add(v)
-        else:
-            count -= 1  # two arms merge through v and the path closes
+    open_ends = 0
+    for level in reversed(levels):
+        for v in _bits(level):
+            arms = (adj[v] & open_ends).bit_count()
+            if arms == 0:  # v starts a path
+                count += 1
+                open_ends |= 1 << v
+            elif arms == 1:  # v extends its child's path
+                open_ends |= 1 << v
+            else:  # two arms merge through v and the path closes
+                count -= 1
     return count
 
 

@@ -274,6 +274,13 @@ class TestSerialization:
         ("r", 7),
         ("r", -1),
         ("sigma", [1.0]),
+        # the right types, but values no search would produce
+        ("delta", 0.0),
+        ("delta", -1.0),
+        ("delta", float("nan")),
+        ("tol", -1.0),
+        ("tol", float("inf")),
+        ("tol", float("nan")),
     ])
     def test_mistyped_field_rejected(self, key, value):
         import json

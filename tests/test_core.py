@@ -1,10 +1,13 @@
 """Graph container, classification, cycle basis, graph6 io, families."""
 
+import random
+
 import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.core import Graph6Error, FamilyError
+from mrbounds.core import Graph6Error, FamilyError, _independence_number
+from conftest import class_representatives, random_graph
 
 FIG1 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5)])
 HTREE = Graph.from_edges(6, [(0, 1), (1, 2), (1, 4), (3, 4), (4, 5)])
@@ -77,6 +80,35 @@ class TestDeleteVertices:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             mb.delete_vertices(FIG1, {9})
+
+
+def brute_alpha(g):
+    """Largest independent vertex set, by checking every subset."""
+    best = 0
+    for mask in range(1 << g.n):
+        if mask.bit_count() > best and all(not (g.adj[v] & mask) for v in range(g.n) if mask >> v & 1):
+            best = mask.bit_count()
+    return best
+
+
+class TestIndependenceNumber:
+    @pytest.mark.parametrize("source", ["classes_n_le_6", "random_n_le_12"])
+    def test_matches_brute_force(self, source):
+        if source == "classes_n_le_6":
+            graphs = [g for n in range(7) for g in class_representatives(n)]
+        else:
+            rng = random.Random(20261022)
+            graphs = [random_graph(rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6, 0.8)), rng) for _ in range(60)]
+        for g in graphs:
+            assert _independence_number(g.adj, (1 << g.n) - 1) == brute_alpha(g), g.graph6()
+
+    def test_induced_on_mask(self):
+        # alpha of the 5-cycle's path 0-1-2-3 inside C5 is 2, of C5 itself 2,
+        # and of the four leaves of a 5-star 4
+        c5 = mb.cycle_graph(5)
+        assert _independence_number(c5.adj, 0b01111) == 2
+        assert _independence_number(c5.adj, 0b11111) == 2
+        assert _independence_number(mb.star_graph(5).adj, 0b11110) == 4
 
 
 class TestCycleBasis:

@@ -8,13 +8,14 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.core import _edge_count, _mask_of, _path_count
+from mrbounds.core import _edge_count, _mask_of
 from mrbounds.deletion import (
     _PARAMETERS,
     DeletionError,
     _component_extremum,
+    _deletion_sets,
     _delta_values,
-    _forest_cover,
+    _suffix_degrees,
     _t_values,
 )
 from mrbounds.reports import enumerate_small_graphs
@@ -88,14 +89,15 @@ def first_optima(g):
     """Reference for all four canonical deletion witnesses: scan every
     deletion set of the whole graph in (size, lex) order, with no components,
     no size cap and no cycle prechecks, and keep the first set with the
-    optimal score.  Returns {parameter: (set, value, leftover count)}."""
-    adj = g.adj
-    full = (1 << g.n) - 1
+    optimal score.  The forest cover comes from min_path_cover, not from the
+    kernel's count.  Returns {parameter: (set, value, leftover count)}."""
     best = {}
     for q in range(g.n + 1):
         for sub in itertools.combinations(range(g.n), q):
-            rest = full & ~_mask_of(sub)
-            cover, paths = _forest_cover(adj, rest), _path_count(adj, rest)
+            forest = mb.delete_vertices(g, sub)[0]
+            deco = mb.classify(forest)
+            cover = mb.min_path_cover(forest).size if deco.is_forest else None
+            paths = deco.p if deco.is_linear_forest else None
             for name, p, minimize in (("t_minus", cover, False), ("t_plus", cover, True),
                                       ("delta", paths, False), ("delta_plus", paths, True)):
                 if p is None:
@@ -244,14 +246,52 @@ class TestPrunedKernel:
         for name, (count, minimize, capped) in _PARAMETERS.items():
             seen = []
 
-            def spy(adj, rest):
+            def spy(adj, rest, edges):
                 seen.append(rest)
-                return count(adj, rest)
+                assert edges == _edge_count(adj, rest)
+                return count(adj, rest, edges)
 
             value, s, p = _component_extremum(adj, comp, spy, minimize, capped)
             assert (frozenset(s), value, p) == ref[name]
             assert seen
             assert all(rest == 0 or _edge_count(adj, rest) < rest.bit_count() for rest in seen), name
+
+
+class TestDeletionSetWalk:
+    """_deletion_sets against itertools.combinations on whole graphs."""
+
+    @staticmethod
+    def walk(g, q):
+        vs = tuple(range(g.n))
+        return list(_deletion_sets(g.adj, vs, q, g.m, _suffix_degrees(g.adj, vs, q)))
+
+    @staticmethod
+    def combinations(g, q):
+        out = []
+        for sub in itertools.combinations(range(g.n), q):
+            s = _mask_of(sub)
+            out.append((s, _edge_count(g.adj, ((1 << g.n) - 1) & ~s)))
+        return out
+
+    def test_lex_order_when_no_prune_fires(self, rng):
+        # every kept set of a forest is a forest, so nothing is pruned
+        graphs = [Graph.from_edges(n) for n in range(6)] + [random_tree(n, rng) for n in (1, 4, 7, 9)]
+        for g in graphs:
+            for q in range(g.n + 1):
+                assert self.walk(g, q) == self.combinations(g, q), (g.graph6(), q)
+
+    def test_prunes_exactly_the_cyclic_edge_counts(self, rng):
+        # the walk keeps a set iff e(K) < |K| or K is empty, in lex order
+        graphs = [mb.complete_graph(6), mb.wheel_graph(7)] + [random_graph(9, p, rng) for p in (0.3, 0.5, 0.8)]
+        for g in graphs:
+            for q in range(g.n + 1):
+                keep = [(s, e) for s, e in self.combinations(g, q) if e < max(g.n - q, 1)]
+                assert self.walk(g, q) == keep, (g.graph6(), q)
+
+    def test_suffix_table(self):
+        g = mb.star_graph(5)  # centre 0 of degree 4, leaves of degree 1
+        vs = tuple(range(5))
+        assert _suffix_degrees(g.adj, vs, 2) == [[0, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1], [0]]
 
 
 class TestCaps:

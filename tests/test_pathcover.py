@@ -1,11 +1,14 @@
 """Greedy forest path covers against brute-force oracles."""
 
+import random
+
 import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.pathcover import PathCoverError
-from conftest import all_labeled_trees, random_tree
+from mrbounds.core import _edge_count
+from mrbounds.pathcover import PathCoverError, _forest_cover
+from conftest import all_labeled_trees, random_graph, random_tree
 
 
 def cover_is_valid(g, cover):
@@ -72,6 +75,56 @@ class TestMinPathCover:
                 deco = mb.classify(sub)
                 assert deco.is_linear_forest
                 assert deco.p == cover.size + len(cover.junctions)
+
+
+def random_forest(rng):
+    """A forest on up to 40 vertices with shuffled labels: a random tree
+    with some edges cut."""
+    n = rng.randint(1, 40)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    tree = random_tree(n, rng)
+    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in tree.edges if rng.random() < 0.8])
+
+
+class TestForestCoverCount:
+    """pathcover._forest_cover, the deletion search's one-pass count."""
+
+    def test_matches_min_path_cover_on_random_forests(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            g = random_forest(rng)
+            assert _forest_cover(g.adj, (1 << g.n) - 1, g.m) == mb.min_path_cover(g).size, g.graph6()
+
+    def test_mask_within_a_supergraph(self):
+        # three extra vertices joined to everything: adj belongs to a
+        # supergraph, and the count must see only G[mask]
+        rng = random.Random(20261020)
+        for _ in range(50):
+            g = random_forest(rng)
+            extra = [(u, v) for u in range(g.n + 3) for v in range(max(u + 1, g.n), g.n + 3)]
+            big = Graph.from_edges(g.n + 3, list(g.edges) + extra)
+            assert _forest_cover(big.adj, (1 << g.n) - 1, g.m) == mb.min_path_cover(g).size
+
+    def test_none_on_cycles_with_few_edges(self):
+        # e(K) < |K| leaves room for a cycle beside tree components
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert _forest_cover(g.adj, (1 << 6) - 1, g.m) is None
+        rng = random.Random(20261021)
+        cyclic_seen = 0
+        for _ in range(30):
+            g = random_graph(rng.randint(4, 9), 0.3, rng)
+            for mask in range(1 << g.n):
+                e = _edge_count(g.adj, mask)
+                if e >= mask.bit_count():
+                    continue
+                sub = mb.delete_vertices(g, [v for v in range(g.n) if not mask >> v & 1])[0]
+                if mb.classify(sub).is_forest:
+                    assert _forest_cover(g.adj, mask, e) == mb.min_path_cover(sub).size
+                else:
+                    cyclic_seen += 1
+                    assert _forest_cover(g.adj, mask, e) is None
+        assert cyclic_seen > 100
 
 
 class TestBruteforce:
