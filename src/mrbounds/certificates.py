@@ -522,8 +522,9 @@ def certificate_from_json(text: str) -> RankCertificate:
     """Inverse of certificate_to_json.  A missing key, a value whose JSON
     type does not match the field, ``entries`` that are not n^2 numbers,
     ``sigma`` that is not n values, ``r`` outside 0..n, a ``delta`` that is
-    not a positive finite number, or a negative or non-finite ``tol`` raises
-    CertificateError."""
+    not a positive finite number, a negative or non-finite ``tol``, a
+    ``sigma`` that holds a negative or non-finite value or is not
+    non-increasing, or a negative ``iterations`` raises CertificateError."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise CertificateError("certificate JSON is not an object")
@@ -546,13 +547,18 @@ def certificate_from_json(text: str) -> RankCertificate:
         raise CertificateError(f"certificate delta={d['delta']} is not a positive finite number")
     if not 0 <= d["tol"] < math.inf:
         raise CertificateError(f"certificate tol={d['tol']} is not a non-negative finite number")
+    sigma = d["sigma"]
+    if not all(0 <= x < math.inf for x in sigma) or any(a < b for a, b in zip(sigma, sigma[1:])):
+        raise CertificateError(f"certificate sigma={sigma} is not non-negative, finite and non-increasing")
+    if d["iterations"] < 0:
+        raise CertificateError(f"certificate iterations={d['iterations']} is negative")
     entries = np.array(d["entries"], dtype=float).reshape(g.n, g.n)
     entries.setflags(write=False)
     matrix = PatternMatrix(entries, g, float(d["delta"]))
     return RankCertificate(
         matrix,
         d["r"],
-        tuple(float(x) for x in d["sigma"]),
+        tuple(float(x) for x in sigma),
         float(d["tol"]),
         d["converged"],
         d["iterations"],

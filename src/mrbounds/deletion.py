@@ -164,12 +164,15 @@ def _deletion_sets(adj, vs, q: int, edges: int, suffix):
 
 
 # The per-component canonical optima unite to the global canonical witness,
-# the first optimum in (size, lex) order over the whole graph.  Values and
-# sizes add over components, so a smallest optimum is a union of smallest
-# component optima.  For two sets of equal size, sorted-tuple order is decided
-# by the least element of their symmetric difference, and adding the same
-# disjoint set to both leaves that element unchanged; so the union of
-# per-component lex-first optima is lex-first.
+# the first optimum in (size, lex) order over the whole graph.  This holds for
+# every search whose sets are judged per component and whose values and sizes
+# add over components: the deletion searches here and the zero forcing search
+# (forcing.zero_forcing_number).  A smallest optimum is then a union of
+# smallest component optima.  For two sets of equal size, sorted-tuple order is
+# decided by the least element of their symmetric difference, and adding the
+# same disjoint set to both leaves that element unchanged; so swapping one
+# component's part for that component's lex-first optimum never moves a union
+# later, and the union of per-component lex-first optima is lex-first.
 def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
     """Optimal (value, deletion set, leftover count) on one connected component.
 

@@ -4,6 +4,18 @@ forcing-set construction that witnesses Z <= t_plus.
 Color rule: a colored vertex with exactly one uncolored neighbor colors it.
 The closure is independent of the order forces are applied in; traces fix
 ascending order only so runs are reproducible.
+
+Z is searched once per connected component, in two steps.  A force u -> w
+only looks at u's neighbours, which lie in u's component, so a set forces G
+iff its part in each component forces that component, and Z adds up over
+components.  First the wavefront (after the Sage Minimum Rank Library of
+Butler et al.; see Brimkov, Fast & Hicks, "Computational approaches for zero
+forcing and related problems", EJOR 2019) finds the component's forcing
+number by a cheapest-cost search over closed sets, with no subset scan
+(_wavefront).  Then one scan of the subsets of exactly that size, in lex
+order, returns the first that forces.  The per-component witnesses unite to
+the global (size, lex)-first forcing set by the argument beside
+deletion._component_extremum.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _mask_of, delete_vertices
+from .core import Graph, _bits, _component_masks, _mask_of, delete_vertices
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -86,40 +98,99 @@ def forcing_closure(g: Graph, b) -> ForcingTrace:
     return ForcingTrace(b, tuple(forces), frozenset(_bits(filled)))
 
 
-def _min_forcing_set(adj, n: int) -> tuple[int, ...]:
-    """First forcing set in (size, lex) order: the lexicographically smallest
-    among the smallest.
+def _wavefront(adj, comp: int) -> int:
+    """Zero forcing number of the connected component ``comp``.
 
-    The scan starts at the minimum degree d and rejects every smaller size
-    unseen: none of those sets forces, so the first forcing set found is the
-    same as from size 0.
+    A cheapest-cost search over closed sets, held in integer cost buckets.
+    From a closed set S one step picks a vertex v with N[v] not inside S.
+    If v has a neighbour outside S, the step buys N[v] \\ S but one such
+    neighbour w, at cost |N[v] \\ S| - 1: then v is colored with w its only
+    uncolored neighbour, so v forces w.  Otherwise it buys v alone, at cost
+    1.  Either way the step moves to the closure of S | N[v].  Every step
+    costs at least 1: a vertex of the closed set S never has exactly one
+    neighbour outside S, and a vertex outside S is bought itself.
+
+    The cheapest cost of reaching the whole component is its forcing number.
+
+    * It is at least Z.  A step's purchases lie outside S, so the purchases
+      along a route are disjoint and their union F has the route's cost.
+      By induction the closure of F holds every state of the route: it
+      holds S and the purchases, so it holds N[v] (all of N[v] is in S or
+      bought, but for the one neighbour w that v then forces), and the
+      closure is monotone and idempotent, so it holds the closure of
+      S | N[v].  F forces the component.
+    * It is at most Z.  Take a forcing set F and its forces u_1 -> w_1, ...,
+      u_m -> w_m in the order they are made.  Walk from the empty set: at
+      force i, if w_i is not yet in S, step with v = u_i and buy N[u_i] \\ S
+      but w_i.  Every vertex of N[u_i] but w_i was colored before force i,
+      so it is in F or is an earlier w_j, which S holds: the purchases are
+      in F \\ S.  Once every w_i is in S, the vertices left outside S are
+      all in F, and steps with any v outside S, until S is the whole
+      component, buy only vertices of F \\ S.  Purchases are disjoint, so
+      the walk costs at most |F|.
+
+    Costs only grow along a route, so states are expanded bucket by bucket,
+    each at its cheapest cost.  A state reached at cost c + 1 while bucket c
+    is expanded cannot be reached more cheaply: every state still to be
+    expanded costs at least c, and one more step at least 1.  So the search
+    returns the first time it reaches the whole component at cost c + 1;
+    otherwise it returns when it comes to the component's bucket.  Each
+    closed set is expanded once, with one closure per vertex: at most
+    2^nc * nc closures on nc vertices.  Twin leaves make many closed sets:
+    the star K_1,15 has 2^15 - 14 of them: the empty set, and the
+    centre with any set of leaves that does not miss exactly one.
     """
-    full = (1 << n) - 1
-    # A forcing set S != V makes a first force u -> w, so S holds u and every
-    # neighbour of u but w: |S| >= deg(u) >= d.  S = V has n > d vertices.
-    for k in range(min((a.bit_count() for a in adj), default=0), n + 1):
-        for sub in itertools.combinations(range(n), k):
-            if _closure_mask(adj, _mask_of(sub)) == full:
-                return sub
-    raise AssertionError("the full vertex set always forces")
+    vs = tuple(_bits(comp))
+    ball = [adj[v] | 1 << v for v in vs]
+    best = {0: 0}  # closed set -> cheapest cost found
+    buckets = [[0]] + [[] for _ in vs]  # buckets[c]: states found at cost c
+    for c, bucket in enumerate(buckets):
+        if best.get(comp) == c:
+            return c
+        for s in bucket:
+            if best[s] < c:
+                continue  # reached more cheaply later
+            for v, nb in zip(vs, ball):
+                new = nb & ~s
+                if not new:
+                    continue
+                cost = c + (new.bit_count() - 1 if adj[v] & ~s else 1)
+                t = _closure_mask(adj, s | nb)
+                if t == comp and cost == c + 1:
+                    return cost
+                if t not in best or cost < best[t]:
+                    best[t] = cost
+                    buckets[cost].append(t)
+    raise AssertionError("the whole component is always reachable")
+
+
+def _first_forcing_set(adj, comp: int, k: int) -> tuple[int, ...]:
+    """The lex-first k-subset of the component ``comp`` that forces it."""
+    for sub in itertools.combinations(_bits(comp), k):
+        if _closure_mask(adj, _mask_of(sub)) == comp:
+            return sub
+    raise AssertionError("the wavefront value always has a forcing set")
 
 
 def zero_forcing_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Smallest size of a set that forces all of g, with its witness.
 
-    Enumerates candidate sets by increasing size, lexicographically within a
-    size, so the witness is the lexicographically smallest optimum.  Graphs
-    with more than Z_SEARCH_MAX_N vertices raise ForcingError.
+    The witness is the first forcing set in (size, lex) order: the
+    lexicographically smallest among the smallest.  Graphs with more than
+    Z_SEARCH_MAX_N vertices raise ForcingError.
     """
     if g.n > Z_SEARCH_MAX_N:
         raise ForcingError(f"zero forcing search capped at n={Z_SEARCH_MAX_N}")
-    sub = _min_forcing_set(g.adj, g.n)
-    return len(sub), frozenset(sub)
+    adj = g.adj
+    witness: list[int] = []
+    for comp in _component_masks(adj, (1 << g.n) - 1):
+        witness.extend(_first_forcing_set(adj, comp, _wavefront(adj, comp)))
+    return len(witness), frozenset(witness)
 
 
 def _z_value(adj, n: int) -> int:
-    """Forcing number only, for bulk sweeps."""
-    return len(_min_forcing_set(adj, n))
+    """Forcing number only, for bulk sweeps: no subset scan."""
+    return sum(_wavefront(adj, comp) for comp in _component_masks(adj, (1 << n) - 1))
 
 
 def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:

@@ -281,6 +281,11 @@ class TestSerialization:
         ("tol", -1.0),
         ("tol", float("inf")),
         ("tol", float("nan")),
+        ("sigma", [float("nan"), -1.0, 2.0]),
+        ("sigma", [2.0, 1.0, -1.0]),
+        ("sigma", [float("inf"), 1.0, 0.0]),
+        ("sigma", [1.0, 2.0, 0.0]),
+        ("iterations", -1),
     ])
     def test_mistyped_field_rejected(self, key, value):
         import json

@@ -90,6 +90,11 @@ class TestZeroForcingNumber:
             (mb.cycle_graph(9), 2),
             (mb.complete_graph(5), 4),
             (mb.star_graph(6), 4),
+            # at the search cap, one component per vertex or per edge, and
+            # K_1,15, whose twin leaves give the most closed sets
+            (mb.Graph.from_edges(16), 16),
+            (mb.Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)]), 8),
+            (mb.star_graph(16), 14),
         ],
     )
     def test_standard_values(self, g, z):
@@ -130,6 +135,44 @@ class TestZeroForcingNumber:
             ref = first_forcing_set(g)
             assert mb.zero_forcing_number(g) == ref, g.graph6()
             assert _z_value(g.adj, g.n) == ref[0]
+
+    def test_matches_scan_on_every_class_up_to_n7(self):
+        # graph_atlas_g lists one graph per isomorphism class with n <= 7
+        nx = pytest.importorskip("networkx")
+        atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes()]
+        assert len(atlas) == 1252
+        for h in atlas:
+            g = mb.Graph.from_edges(h.number_of_nodes(), h.edges())
+            ref = first_forcing_set(g)
+            assert mb.zero_forcing_number(g) == ref, g.graph6()
+            assert _z_value(g.adj, g.n) == ref[0]
+
+    def test_matches_scan_on_random_graphs(self, rng):
+        isolated = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(8, 12), rng.choice([0.1, 0.2, 0.35, 0.5, 0.65, 0.8]), rng)
+            isolated += not all(g.adj)
+            ref = first_forcing_set(g)
+            assert mb.zero_forcing_number(g) == ref, g.graph6()
+            assert _z_value(g.adj, g.n) == ref[0]
+        assert isolated  # some components are single vertices
+
+    def test_union_witness_is_union_of_part_witnesses(self):
+        wheel, sun = mb.wheel_graph(6), mb.sun_graph(4)
+        # increasing label maps that interleave the two parts
+        to_wheel = (0, 2, 4, 6, 8, 10)
+        to_sun = (1, 3, 5, 7, 9, 11, 12, 13)
+        g = mb.Graph.from_edges(
+            14,
+            [(to_wheel[u], to_wheel[v]) for u, v in wheel.edges]
+            + [(to_sun[u], to_sun[v]) for u, v in sun.edges],
+        )
+        kw, ww = mb.zero_forcing_number(wheel)
+        ks, ws = mb.zero_forcing_number(sun)
+        k, witness = mb.zero_forcing_number(g)
+        assert k == kw + ks == 5
+        assert witness == {to_wheel[v] for v in ww} | {to_sun[v] for v in ws}
+        assert (k, witness) == first_forcing_set(g)
 
     def test_search_cap(self):
         with pytest.raises(mb.ForcingError):
