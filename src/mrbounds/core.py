@@ -11,14 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
-    "CycleBasis",
     "FamilyError",
     "ForestDecomposition",
     "Graph",
     "Graph6Error",
     "classify",
     "complete_graph",
-    "cycle_basis",
     "cycle_graph",
     "delete_vertices",
     "emit_graph6",
@@ -260,66 +258,6 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     index = {v: i for i, v in enumerate(labels)}
     edges = [(index[u], index[v]) for u, v in g.edges if u not in s and v not in s]
     return Graph.from_edges(len(labels), edges), labels
-
-
-# ---------------------------------------------------------------------------
-# cycle space
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """A fundamental cycle basis from a spanning forest.
-
-    Each cycle is a vertex tuple tracing the tree path between the endpoints
-    of one non-tree edge, so it contains exactly that non-tree edge; the
-    basis has dimension m - n + k cycles (k = number of components).
-    """
-
-    forest_edges: frozenset[tuple[int, int]]
-    nontree_edges: tuple[tuple[int, int], ...]
-    cycles: tuple[tuple[int, ...], ...]
-    dimension: int
-
-
-def cycle_basis(g: Graph) -> CycleBasis:
-    adj = g.adj
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    tree_edges = set()
-    for root in range(g.n):
-        if root in parent:
-            continue
-        parent[root] = -1
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in _bits(adj[v]):
-                if w not in parent:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    tree_edges.add((v, w) if v < w else (w, v))
-                    stack.append(w)
-    nontree = tuple(sorted(g.edges - tree_edges))
-    cycles = []
-    for u, v in nontree:
-        # walk both endpoints up to their lowest common ancestor
-        left, right = [u], [v]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            a = parent[a]
-            left.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            right.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            left.append(a)
-            right.append(b)
-        cycles.append(tuple(left + right[-2::-1]))
-    dim = g.m - g.n + len(_component_masks(adj, (1 << g.n) - 1))
-    assert dim == len(cycles)
-    return CycleBasis(frozenset(tree_edges), nontree, tuple(cycles), dim)
 
 
 # ---------------------------------------------------------------------------

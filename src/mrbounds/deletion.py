@@ -7,30 +7,33 @@ Two dual pairs are computed exactly by subset search over deletion sets:
 * delta / delta_plus: delete a set S leaving a disjoint union of paths,
   score the path count p against |S| (max of p - |S|, min of p + |S|).
 
-All four run one search per connected component (they are additive) and
-differ only in the leftover count.  t+- scan only deletion sets as large as
+All four are additive over connected components, and one walk per
+component feeds whichever of them a call asks for: each is a record with
+its own improvement rule, stop rule and size cap, and a size is walked
+while any record is still active.  t+- scan only deletion sets as large as
 the component's cycle space, which is always enough; delta+- scan every size
 and need n <= DELTA_BRUTE_MAX_N.  A component that would need more than
 2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  t_minus
 always equals delta; the default delta routine exploits that by upgrading a
 t_minus witness instead of searching.
 
-Each component's scan runs in (size, lex) order and keeps only strict
-improvements, and three cuts shorten it without changing its witness (the
-proofs are in _component_extremum's docstring):
+Each component's walk runs in (size, lex) order and each record keeps only
+strict improvements, and three cuts shorten it without changing a witness
+(the proofs are in _component_walk's docstring):
 
 * every admissible leftover is a forest, and a forest on k >= 1 vertices
   has fewer than k edges, so the depth-first walk over deletion sets drops
   every prefix whose kept sets must all keep that many edges, counted from
   vertex degrees with no traversal;
-* a minimizing search stops once |S| + 1 reaches its best score;
-* a maximizing search stops once min(|K|, alpha) - |S| cannot beat its
+* a minimizing record stops once |S| + 1 reaches its best score;
+* a maximizing record stops once min(|K|, alpha) - |S| cannot beat its
   best, as by Gallai and Milgram (1960) the vertices of any graph split
   into at most alpha(G) paths.
 
-The forest cover count is one level BFS per kept set: the BFS counts the
-components for the forest test, and its levels, deepest first, order the
-leaves-first greedy.
+The count is one level BFS per kept set: the BFS counts the components for
+the forest test, and its levels, deepest first, order the leaves-first
+greedy.  The cover number P it returns is also the path count of a linear
+forest, which the forest K is exactly when P = |K| - e(K).
 """
 
 from __future__ import annotations
@@ -91,24 +94,6 @@ class DeletionWitness:
 
 # ---------------------------------------------------------------------------
 # the deletion search
-
-def _linear_count(adj, rest: int, edges: int):
-    """Path count p of G[rest] if it is a linear forest, else None.
-
-    ``edges`` goes unused: _path_count sums the degrees it checks anyway.
-    """
-    return _path_count(adj, rest)
-
-
-# parameter -> (leftover count, minimize, capped by the cycle space); delta+-
-# may need to delete tree vertices, e.g. a star's centre
-_PARAMETERS = {
-    "t_minus": (_forest_cover, False, True),
-    "t_plus": (_forest_cover, True, True),
-    "delta": (_linear_count, False, False),
-    "delta_plus": (_linear_count, True, False),
-}
-
 
 def _suffix_degrees(adj, vs, limit: int) -> list[list[int]]:
     """suffix[i][r]: the sum of the r largest degrees among vs[i:], for
@@ -173,92 +158,130 @@ def _deletion_sets(adj, vs, q: int, edges: int, suffix):
 # same disjoint set to both leaves that element unchanged; so swapping one
 # component's part for that component's lex-first optimum never moves a union
 # later, and the union of per-component lex-first optima is lex-first.
-def _component_extremum(adj, comp: int, count, minimize: bool, capped: bool):
-    """Optimal (value, deletion set, leftover count) on one connected component.
+def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
+    """[(value, deletion set mask, leftover count)] per name in ``names`` on
+    one connected component with ``edges`` edges.
 
-    ``count(adj, rest, edges)`` is the leftover count p of the kept set K,
-    given e(K), or None if K is not admissible; the score is p + |S| or
-    p - |S|.  Subsets come in ascending (size, lex) order and only a strict
-    improvement is kept, so the optimum recorded is canonical.  With
-    ``capped`` the subset size stays within the component's cycle space
-    dimension.
+    One walk over the deletion sets in ascending (size, lex) order feeds a
+    record per name.  Each kept set K is counted once, by _forest_cover,
+    into its cover number P.  A forest K with c trees has e(K) = |K| - c
+    and P >= c, with equality exactly when each tree is a path; so K is a
+    linear forest iff P = |K| - e(K), and then P is its path count p.
+    delta and delta_plus see only those kept sets.  A record scores P - |S|
+    (t_minus, delta) or P + |S| (t_plus, delta_plus) and keeps only strict
+    improvements, so its optimum is canonical.  t+- stay within size
+    ``t_limit``.
 
-    Three cuts shorten the scan; none changes its order, the improvement
-    rule or the canonical witness:
+    Two cuts stop a record at size q, and a size is walked only while some
+    record has not stopped; neither changes a record's witness:
 
-    * Cyclic kept sets never reach ``count``.  A forest on k >= 1 vertices
-      has fewer than k edges, and deleting a vertex takes off at most its
-      degree, so a prefix of S whose kept set would keep e(K) >= |K| > 0
-      edges even after the largest degrees left to choose are deleted is
-      dropped whole (_deletion_sets).  ``count`` returns None on any cycle.
-    * A minimizing search stops at size q once q + 1 >= best: every later
-      set scores at least |S| + 1, as a nonempty kept set has p >= 1 (the
-      empty kept set scores nc, and nc >= q + 1 for any q < nc).
-    * A maximizing search stops at size q once min(nc - q, alpha) - q <=
-      best, where alpha is the component's independence number.  Both
-      sides fall as q grows.  p <= |K| = nc - q, and p <= alpha(K) <=
-      alpha: by Gallai and Milgram ("Verallgemeinerung eines
-      graphentheoretischen Satzes von Redei", Acta Sci. Math. Szeged 21,
-      1960) the vertices of any graph split into at most alpha paths, and a
-      linear forest's paths hold one independent vertex each.  alpha is
-      computed once, when the nc bound first fails to stop the scan, and
-      only for nc <= DELTA_BRUTE_MAX_N, so it stays within the work cap.
+    * A minimizing record stops once q + 1 >= best: every later set scores
+      at least |S| + 1, as a nonempty kept set has P >= 1 (the empty kept
+      set scores nc, and nc >= q + 1 for any q < nc).
+    * A maximizing record stops once min(nc - q, alpha) - q <= best, where
+      alpha is the component's independence number.  Both sides fall as q
+      grows.  P <= |K| = nc - q, and P <= alpha(K) <= alpha: by Gallai and
+      Milgram ("Verallgemeinerung eines graphentheoretischen Satzes von
+      Redei", Acta Sci. Math. Szeged 21, 1960) the vertices of any graph
+      split into at most alpha paths, and a linear forest's paths hold one
+      independent vertex each.  alpha is computed once, when the nc bound
+      first fails to stop a record, and only for nc <= DELTA_BRUTE_MAX_N,
+      so it stays within the work cap.
+
+    Cyclic kept sets never reach the count: a forest on k >= 1 vertices has
+    fewer than k edges, and deleting a vertex takes off at most its degree,
+    so _deletion_sets drops every prefix whose kept sets would keep e(K) >=
+    |K| > 0 edges even after the largest degrees left are deleted.
+    _forest_cover returns None on any other cycle.
     """
     vs = tuple(_bits(comp))
     nc = len(vs)
-    m_c = _edge_count(adj, comp)
-    cap = m_c - nc + 1
-    limit = min(cap, nc) if capped else nc
-    work = sum(math.comb(nc, q) for q in range(limit + 1))
-    if work > 1 << DELTA_BRUTE_MAX_N:
-        raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
+    # per name: [minimize, linear forests only, size cap, best value, its
+    # set, its count]; delta+- may need to delete tree vertices (a star's
+    # centre), so only t+- keep the cycle-space cap
+    records = []
+    for name in names:
+        paths_only = name.startswith("delta")
+        records.append([name.endswith("plus"), paths_only, nc if paths_only else t_limit, None, 0, 0])
     # a component holds every neighbour of its vertices, so adj[v] is the
     # degree within it
-    suffix = _suffix_degrees(adj, vs, limit)
+    suffix = _suffix_degrees(adj, vs, max(rec[2] for rec in records))
     alpha = None
-    best_val = None
-    best_set = 0
-    best_p = 0
-    for q in range(limit + 1):
-        if best_val is not None:
-            if minimize:
-                if q + 1 >= best_val:
-                    break
-            elif nc - 2 * q <= best_val:
-                break
-            elif nc <= DELTA_BRUTE_MAX_N:
-                if alpha is None:
-                    alpha = _independence_number(adj, comp)
-                if alpha - q <= best_val:
-                    break
-        for s, kept in _deletion_sets(adj, vs, q, m_c, suffix):
-            p = count(adj, comp & ~s, kept)
+    active = records
+    for q in itertools.count():
+        walking = []
+        for rec in active:
+            minimize, _, cap, best, _, _ = rec
+            if q > cap:
+                continue
+            if best is not None:
+                if minimize:
+                    if q + 1 >= best:
+                        continue
+                elif nc - 2 * q <= best:
+                    continue
+                elif nc <= DELTA_BRUTE_MAX_N:
+                    if alpha is None:
+                        alpha = _independence_number(adj, comp)
+                    if alpha - q <= best:
+                        continue
+            walking.append(rec)
+        active = walking
+        if not active:
+            break
+        for s, kept in _deletion_sets(adj, vs, q, edges, suffix):
+            p = _forest_cover(adj, comp & ~s, kept)
             if p is None:
                 continue
-            val = p + q if minimize else p - q
-            if best_val is None or (val < best_val if minimize else val > best_val):
-                best_val = val
-                best_set = s
-                best_p = p
-    assert best_val is not None
-    return best_val, tuple(_bits(best_set)), best_p
+            linear = p == nc - q - kept
+            for rec in active:
+                minimize, paths_only, _, best, _, _ = rec
+                if paths_only and not linear:
+                    continue
+                val = p + q if minimize else p - q
+                if best is None or (val < best if minimize else val > best):
+                    rec[3:] = val, s, p
+    assert all(rec[3] is not None for rec in records)
+    return [(best, s, p) for _, _, _, best, s, p in records]
 
 
-def _search(g: Graph, parameter: str, capped: bool = True) -> DeletionWitness:
-    count, minimize, cycle_capped = _PARAMETERS[parameter]
-    if not cycle_capped and g.n > DELTA_BRUTE_MAX_N:
-        raise DeletionError(f"{parameter} search capped at n={DELTA_BRUTE_MAX_N}")
+def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]:
+    """(value, deletion set mask, leftover count) per name in ``names``,
+    summed over the components of the n-vertex graph ``adj``.
+
+    t+- scan deletion sets up to the component's cycle space dimension
+    (every size when ``capped`` is false), delta+- every size, which needs
+    n <= DELTA_BRUTE_MAX_N.  The caps are checked before any walk, the t+-
+    work cap first.
+    """
+    t_asked = any(name.startswith("t_") for name in names)
+    plan = []
+    for comp in _component_masks(adj, (1 << n) - 1):
+        nc = comp.bit_count()
+        m_c = _edge_count(adj, comp)
+        t_limit = min(m_c - nc + 1, nc) if capped else nc
+        work = sum(math.comb(nc, q) for q in range(t_limit + 1))
+        if t_asked and work > 1 << DELTA_BRUTE_MAX_N:
+            raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
+        plan.append((comp, m_c, t_limit))
+    path_names = [name for name in names if name.startswith("delta")]
+    if path_names and n > DELTA_BRUTE_MAX_N:
+        raise DeletionError(f"{path_names[0]} search capped at n={DELTA_BRUTE_MAX_N}")
+    totals = [(0, 0, 0)] * len(names)
+    for comp, m_c, t_limit in plan:
+        found = _component_walk(adj, comp, m_c, t_limit, names)
+        totals = [(v + fv, s | fs, p + fp) for (v, s, p), (fv, fs, fp) in zip(totals, found)]
+    return totals
+
+
+def _search(g: Graph, names, capped: bool = True) -> list[DeletionWitness]:
+    """One DeletionWitness per name in ``names``, from one _walk."""
     adj = g.adj
     full = (1 << g.n) - 1
-    value = cover = 0
-    chosen: list[int] = []
-    for comp in _component_masks(adj, full):
-        v, s, p = _component_extremum(adj, comp, count, minimize, capped and cycle_capped)
-        value += v
-        chosen.extend(s)
-        cover += p
-    rest = full & ~_mask_of(chosen)
-    return DeletionWitness(parameter, frozenset(chosen), value, _decomposition_of_mask(adj, rest), cover)
+    return [
+        DeletionWitness(name, frozenset(_bits(s)), value, _decomposition_of_mask(adj, full & ~s), p)
+        for name, (value, s, p) in zip(names, _walk(adj, g.n, names, capped))
+    ]
 
 
 def t_minus(g: Graph, *, capped: bool = True) -> DeletionWitness:
@@ -267,20 +290,17 @@ def t_minus(g: Graph, *, capped: bool = True) -> DeletionWitness:
     The witness set is canonical: smallest, then lexicographically first,
     independently per connected component.
     """
-    return _search(g, "t_minus", capped)
+    return _search(g, ("t_minus",), capped)[0]
 
 
 def t_plus(g: Graph, *, capped: bool = True) -> DeletionWitness:
     """min of P(G - S) + |S| over deletion sets S leaving a forest."""
-    return _search(g, "t_plus", capped)
+    return _search(g, ("t_plus",), capped)[0]
 
 
 def _t_values(adj, n: int) -> tuple[int, int]:
     """(t_minus, t_plus) values only, for bulk sweeps."""
-    tm = tp = 0
-    for comp in _component_masks(adj, (1 << n) - 1):
-        tm += _component_extremum(adj, comp, _forest_cover, False, True)[0]
-        tp += _component_extremum(adj, comp, _forest_cover, True, True)[0]
+    (tm, _, _), (tp, _, _) = _walk(adj, n, ("t_minus", "t_plus"))
     return tm, tp
 
 
@@ -308,7 +328,7 @@ def delta(g: Graph, *, bruteforce: bool = False) -> DeletionWitness:
     (needs n <= DELTA_BRUTE_MAX_N) and returns the canonical smallest witness.
     """
     if bruteforce:
-        return _search(g, "delta")
+        return _search(g, ("delta",))[0]
     return _delta_from(g, t_minus(g))
 
 
@@ -327,7 +347,7 @@ def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
 
 def delta_plus(g: Graph) -> DeletionWitness:
     """min of p + |S| over deletion sets leaving p disjoint paths (n <= 16)."""
-    return _search(g, "delta_plus")
+    return _search(g, ("delta_plus",))[0]
 
 
 # ---------------------------------------------------------------------------

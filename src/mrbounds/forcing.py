@@ -15,7 +15,7 @@ number by a cheapest-cost search over closed sets, with no subset scan
 (_wavefront).  Then one scan of the subsets of exactly that size, in lex
 order, returns the first that forces.  The per-component witnesses unite to
 the global (size, lex)-first forcing set by the argument beside
-deletion._component_extremum.
+deletion._component_walk.
 """
 
 from __future__ import annotations

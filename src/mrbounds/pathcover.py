@@ -143,6 +143,8 @@ def _forest_cover(adj, mask: int, edges: int):
     stays within a level.  Every vertex is therefore seen after all its
     children, as in the rooted greedy, and makes the same choice.
     ``adj`` may belong to a supergraph: the BFS intersects it with ``mask``.
+    Both loops take the lowest bit of a mask inline, as a _bits generator
+    per frontier or level costs more than the count itself on small masks.
     """
     levels: list[int] = []  # levels[d]: the vertices at depth d, over all components
     comps = 0
@@ -157,8 +159,11 @@ def _forest_cover(adj, mask: int, edges: int):
             else:
                 levels.append(frontier)
             grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v]
+            x = frontier
+            while x:
+                low = x & -x
+                grown |= adj[low.bit_length() - 1]
+                x ^= low
             frontier = grown & rest
             rest ^= frontier
             depth += 1
@@ -168,13 +173,15 @@ def _forest_cover(adj, mask: int, edges: int):
     count = 0
     open_ends = 0
     for level in reversed(levels):
-        for v in _bits(level):
-            arms = (adj[v] & open_ends).bit_count()
+        while level:
+            low = level & -level  # the bit of v
+            level ^= low
+            arms = (adj[low.bit_length() - 1] & open_ends).bit_count()
             if arms == 0:  # v starts a path
                 count += 1
-                open_ends |= 1 << v
+                open_ends |= low
             elif arms == 1:  # v extends its child's path
-                open_ends |= 1 << v
+                open_ends |= low
             else:  # two arms merge through v and the path closes
                 count -= 1
     return count

@@ -22,10 +22,11 @@ from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator
 
-# delta and m_sandwich are unused here but stay reports attributes for perfbench
+# m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
+# module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
 from .core import Graph, _component_masks, _is_forest_mask, classify
-from .deletion import _delta_from, _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
+from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
 
@@ -194,13 +195,13 @@ def compute_report(g: Graph, *, with_numeric: bool = False) -> ParameterReport:
 
     The delta witness comes from the t_minus upgrade (the two values agree by
     theorem); corpus verification recomputes delta independently instead.
-    Each exact bound is computed once and handed to the sandwich, which runs
-    the certificate searches of ``m_sandwich(g)`` only with ``with_numeric``.
+    One deletion walk per component gives the t_minus, t_plus and delta_plus
+    witnesses.  Each exact bound is computed once and handed to the
+    sandwich, which runs the certificate searches of ``m_sandwich(g)`` only
+    with ``with_numeric``.
     """
-    tm_w = t_minus(g)
-    tp_w = t_plus(g)
+    tm_w, tp_w, dp_w = _search(g, ("t_minus", "t_plus", "delta_plus"))
     d_w = _delta_from(g, tm_w)
-    dp_w = delta_plus(g)
     z_val, z_wit = zero_forcing_number(g)
     p = None
     if g.n <= BRUTE_INDUCED_COVER_MAX_N:

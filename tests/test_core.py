@@ -1,4 +1,4 @@
-"""Graph container, classification, cycle basis, graph6 io, families."""
+"""Graph container, classification, graph6 io, families."""
 
 import random
 
@@ -109,43 +109,6 @@ class TestIndependenceNumber:
         assert _independence_number(c5.adj, 0b01111) == 2
         assert _independence_number(c5.adj, 0b11111) == 2
         assert _independence_number(mb.star_graph(5).adj, 0b11110) == 4
-
-
-class TestCycleBasis:
-    def test_tree_has_empty_basis(self):
-        basis = mb.cycle_basis(HTREE)
-        assert basis.dimension == 0 and basis.cycles == ()
-        assert basis.forest_edges == HTREE.edges
-
-    def test_fig1_single_cycle(self):
-        basis = mb.cycle_basis(FIG1)
-        assert basis.dimension == 1
-        (cycle,) = basis.cycles
-        assert set(cycle) == {1, 2, 3, 5}
-
-    def test_each_cycle_contains_its_nontree_edge(self, rng):
-        from conftest import random_graph
-
-        for _ in range(30):
-            g = random_graph(8, 0.4, rng)
-            basis = mb.cycle_basis(g)
-            assert basis.dimension == len(basis.cycles) == len(basis.nontree_edges)
-            for (u, v), cycle in zip(basis.nontree_edges, basis.cycles):
-                assert cycle[0] == u and cycle[-1] == v
-                for a, b in zip(cycle, cycle[1:]):
-                    assert g.has_edge(a, b)
-                assert len(set(cycle)) == len(cycle)
-
-    def test_dimension_matches_networkx(self, rng):
-        nx = pytest.importorskip("networkx")
-        from conftest import random_graph
-
-        for _ in range(20):
-            g = random_graph(7, 0.45, rng)
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            assert mb.cycle_basis(g).dimension == len(nx.cycle_basis(h))
 
 
 class TestGraph6:

@@ -7,16 +7,16 @@ import time
 import pytest
 
 import mrbounds as mb
-from mrbounds import Graph
-from mrbounds.core import _edge_count, _mask_of
+from mrbounds import Graph, deletion
+from mrbounds.core import _bits, _edge_count, _mask_of
 from mrbounds.deletion import (
-    _PARAMETERS,
     DeletionError,
-    _component_extremum,
     _deletion_sets,
     _delta_values,
+    _search,
     _suffix_degrees,
     _t_values,
+    _walk,
 )
 from mrbounds.reports import enumerate_small_graphs
 from conftest import class_representatives, random_graph, random_tree
@@ -233,28 +233,33 @@ class TestPrunedKernel:
             graphs = [random_graph(n, p, rng) for n in (9, 10, 11) for p in (0.2, 0.35, 0.6)]
         for g in graphs:
             ref = first_optima(g)
-            for w in (mb.t_minus(g), mb.t_plus(g), mb.delta(g, bruteforce=True), mb.delta_plus(g)):
+            # the three searches of a report, from one joint walk
+            joint = _search(g, ("t_minus", "t_plus", "delta_plus"))
+            for w in (mb.t_minus(g), mb.t_plus(g), mb.delta(g, bruteforce=True), mb.delta_plus(g), *joint):
                 assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (w.parameter, g.graph6())
             assert _t_values(g.adj, g.n) == (ref["t_minus"][1], ref["t_plus"][1])
 
-    def test_count_never_sees_a_cyclic_kept_set(self):
+    def test_count_never_sees_a_cyclic_kept_set(self, monkeypatch):
         # K8 less a 3-edge matching: most kept sets hold a cycle
         missing = {(0, 1), (2, 3), (4, 5)}
         g = Graph.from_edges(8, [e for e in itertools.combinations(range(8), 2) if e not in missing])
-        adj, comp = g.adj, (1 << g.n) - 1
         ref = first_optima(g)
-        for name, (count, minimize, capped) in _PARAMETERS.items():
-            seen = []
+        count = deletion._forest_cover
+        seen = []
 
-            def spy(adj, rest, edges):
-                seen.append(rest)
-                assert edges == _edge_count(adj, rest)
-                return count(adj, rest, edges)
+        def spy(adj, rest, edges):
+            seen.append(rest)
+            assert edges == _edge_count(adj, rest)
+            return count(adj, rest, edges)
 
-            value, s, p = _component_extremum(adj, comp, spy, minimize, capped)
-            assert (frozenset(s), value, p) == ref[name]
+        monkeypatch.setattr(deletion, "_forest_cover", spy)
+        names = tuple(ref)
+        for asked in (names, *((name,) for name in names)):
+            seen.clear()
+            for name, (value, s, p) in zip(asked, _walk(g.adj, g.n, asked)):
+                assert (frozenset(_bits(s)), value, p) == ref[name], (asked, name)
             assert seen
-            assert all(rest == 0 or _edge_count(adj, rest) < rest.bit_count() for rest in seen), name
+            assert all(rest == 0 or _edge_count(g.adj, rest) < rest.bit_count() for rest in seen), asked
 
 
 class TestDeletionSetWalk:

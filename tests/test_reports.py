@@ -88,9 +88,9 @@ def _equivalence_graphs():
 
 
 class TestComputeReportSharesSearches:
-    """compute_report computes each exact bound once and hands it on; its
-    values and witnesses must match the public entry points, each of which
-    searches on its own."""
+    """compute_report computes each exact bound once, the deletion bounds in
+    one joint walk, and hands them on; its values and witnesses must match
+    the public entry points, each of which searches on its own."""
 
     @pytest.mark.parametrize("g", _equivalence_graphs(), ids=lambda g: g.graph6())
     def test_matches_public_entry_points(self, g):
@@ -112,14 +112,18 @@ class TestComputeReportSharesSearches:
         assert (r.m_lower_numeric, r.m_exact) == (sw.numeric_lower, sw.m_exact)
 
     def test_each_search_runs_once(self, monkeypatch):
-        # every name under which a search is reached, by the search it runs
+        # every name under which a search is reached, by the search it runs;
+        # compute_report reaches t_minus, t_plus and delta_plus only through
+        # the one joint walk, never through their own entry points
         sites = {
+            "walk": [(deletion, "_walk")],
             "t_minus": [(reports, "t_minus"), (deletion, "t_minus"), (certificates, "_t_minus_op")],
             "t_plus": [(reports, "t_plus"), (certificates, "_t_plus_op")],
             "delta_plus": [(reports, "delta_plus"), (certificates, "_delta_plus_op")],
             "zero_forcing_number": [(reports, "zero_forcing_number"),
                                     (certificates, "zero_forcing_number")],
         }
+        expected = {"walk": 1, "t_minus": 0, "t_plus": 0, "delta_plus": 0, "zero_forcing_number": 1}
         calls = dict.fromkeys(sites, 0)
 
         def counted(search, fn):
@@ -134,7 +138,33 @@ class TestComputeReportSharesSearches:
         for g in (mb.wheel_graph(6), mb.sun_graph(3), mb.path_graph(5)):
             calls.update(dict.fromkeys(sites, 0))
             mb.compute_report(g, with_numeric=True)
-            assert calls == dict.fromkeys(sites, 1)
+            assert calls == expected
+
+    def test_no_kept_set_counted_twice(self, monkeypatch):
+        # the joint walk counts each kept set once for all three records
+        count = deletion._forest_cover
+        seen = []
+
+        def spy(adj, rest, edges):
+            seen.append(rest)
+            return count(adj, rest, edges)
+
+        monkeypatch.setattr(deletion, "_forest_cover", spy)
+        for g in _equivalence_graphs():
+            seen.clear()
+            mb.compute_report(g)
+            assert seen and len(seen) == len(set(seen)), g.graph6()
+
+    @pytest.mark.parametrize("g,message", [
+        (mb.complete_graph(20), "20-vertex component needs 1048576 deletion sets, over 2^16"),
+        (mb.path_graph(17), "delta_plus search capped at n=16"),
+    ], ids=["K20", "P17"])
+    def test_cap_errors_keep_their_order(self, g, message):
+        # the t+- work cap is met before the delta_plus size cap, as when
+        # t_minus ran first
+        with pytest.raises(mb.DeletionError) as err:
+            mb.compute_report(g)
+        assert str(err.value) == message
 
 
 class TestCheckChain:
