@@ -7,148 +7,20 @@ The central chain, computed exactly on desk-scale graphs:
 
 with alternating-projection certificates supplying numerical lower bounds
 that close the gap from below when they converge.
+
+Each module declares its public names in its ``__all__``; the package
+re-exports them all.
 """
 
-from .certificates import (
-    DELTA_DEFAULT,
-    MAX_ITER_DEFAULT,
-    RESTARTS_DEFAULT,
-    TOL_DEFAULT,
-    CertificateConflict,
-    CertificateError,
-    MSandwich,
-    PatternMatrix,
-    RankCertificate,
-    certificate_from_json,
-    certificate_search,
-    certificate_to_json,
-    m_sandwich,
-    project_pattern,
-    project_rank,
-    read_certificate,
-    sample_pattern,
-    verify_certificate,
-    write_certificate,
-)
-from .core import (
-    FamilyError,
-    ForestDecomposition,
-    Graph,
-    Graph6Error,
-    classify,
-    complete_graph,
-    cycle_graph,
-    delete_vertices,
-    emit_graph6,
-    generalized_star,
-    generate_family,
-    parse_graph6,
-    path_graph,
-    star_graph,
-    sun_graph,
-    unicyclic_family,
-    wheel_graph,
-)
-from .deletion import (
-    DeletionError,
-    DeletionWitness,
-    delta,
-    delta_plus,
-    reduce_optimal_set,
-    t_minus,
-    t_plus,
-)
-from .forcing import (
-    ForcingError,
-    ForcingTrace,
-    forcing_closure,
-    forcing_set_from_tplus,
-    zero_forcing_number,
-)
-from .pathcover import (
-    PathCover,
-    PathCoverError,
-    induced_path_cover_bruteforce,
-    min_path_cover,
-    path_cover_bruteforce,
-)
-from .reports import (
-    REPORT_CSV_HEADER,
-    ParameterReport,
-    check_chain,
-    compute_report,
-    emit_report,
-    enumerate_small_graphs,
-    load_reports_csv,
-    load_reports_json,
-    survey_open_questions,
-    verify_chain_corpus,
-)
+from . import certificates, core, deletion, forcing, pathcover, reports
+from .certificates import *
+from .core import *
+from .deletion import *
+from .forcing import *
+from .pathcover import *
+from .reports import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateConflict",
-    "CertificateError",
-    "DELTA_DEFAULT",
-    "DeletionError",
-    "DeletionWitness",
-    "FamilyError",
-    "ForcingError",
-    "ForcingTrace",
-    "ForestDecomposition",
-    "Graph",
-    "Graph6Error",
-    "MAX_ITER_DEFAULT",
-    "MSandwich",
-    "ParameterReport",
-    "PathCover",
-    "PathCoverError",
-    "PatternMatrix",
-    "REPORT_CSV_HEADER",
-    "RESTARTS_DEFAULT",
-    "RankCertificate",
-    "TOL_DEFAULT",
-    "certificate_from_json",
-    "certificate_search",
-    "certificate_to_json",
-    "check_chain",
-    "classify",
-    "complete_graph",
-    "compute_report",
-    "cycle_graph",
-    "delete_vertices",
-    "delta",
-    "delta_plus",
-    "emit_graph6",
-    "emit_report",
-    "enumerate_small_graphs",
-    "forcing_closure",
-    "forcing_set_from_tplus",
-    "generalized_star",
-    "generate_family",
-    "induced_path_cover_bruteforce",
-    "load_reports_csv",
-    "load_reports_json",
-    "m_sandwich",
-    "min_path_cover",
-    "parse_graph6",
-    "path_cover_bruteforce",
-    "path_graph",
-    "project_pattern",
-    "project_rank",
-    "read_certificate",
-    "reduce_optimal_set",
-    "sample_pattern",
-    "star_graph",
-    "sun_graph",
-    "survey_open_questions",
-    "t_minus",
-    "t_plus",
-    "unicyclic_family",
-    "verify_certificate",
-    "verify_chain_corpus",
-    "wheel_graph",
-    "write_certificate",
-    "zero_forcing_number",
-]
+_MODULES = (certificates, core, deletion, forcing, pathcover, reports)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

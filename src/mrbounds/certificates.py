@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, classify, parse_graph6
+from .core import Graph, _is_forest_mask, parse_graph6
+from .deletion import _search
+# _t_minus_op, _t_plus_op and _delta_plus_op are unused here; they stay module
+# attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .deletion import delta_plus as _delta_plus_op
 from .deletion import t_minus as _t_minus_op
 from .deletion import t_plus as _t_plus_op
@@ -74,6 +77,11 @@ class CertificateConflict(CertificateError):
     """Bounds that contradict each other: a verification failure, not bad input."""
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise CertificateError(f"delta={delta} is not a positive finite number")
+
+
 @dataclass(frozen=True)
 class PatternMatrix:
     """A symmetric matrix constrained to the support pattern of a graph.
@@ -89,8 +97,7 @@ class PatternMatrix:
     def validate(self) -> None:
         a = self.entries
         n = self.graph.n
-        if self.delta <= 0:
-            raise CertificateError("delta must be positive")
+        _check_delta(self.delta)
         if a.shape != (n, n):
             raise CertificateError(f"entries shape {a.shape} does not match n={n}")
         if not np.array_equal(a, a.T):
@@ -151,9 +158,9 @@ def _apply_pattern(m: np.ndarray, n: int, rows, cols, delta: float) -> np.ndarra
 def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> PatternMatrix:
     """Random pattern member: edge entries uniform over +-[delta, 1],
     diagonal uniform over [-1, 1].  Deterministic for a fixed seed; draws
-    happen in vertex order for the diagonal, then sorted edge order."""
-    if delta <= 0:
-        raise CertificateError("delta must be positive")
+    happen in vertex order for the diagonal, then sorted edge order.  A
+    ``delta`` that is not a positive finite number raises CertificateError."""
+    _check_delta(delta)
     rng = np.random.default_rng(seed)
     a = np.zeros((g.n, g.n))
     np.fill_diagonal(a, rng.uniform(-1.0, 1.0, g.n))
@@ -167,9 +174,9 @@ def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> Pattern
 
 def project_pattern(m: np.ndarray, g: Graph, delta: float = DELTA_DEFAULT) -> PatternMatrix:
     """Nearest pattern member: zero the non-edges, clamp small edge entries
-    to sign * delta (sign of zero taken positive), keep the diagonal."""
-    if delta <= 0:
-        raise CertificateError("delta must be positive")
+    to sign * delta (sign of zero taken positive), keep the diagonal.  A
+    ``delta`` that is not a positive finite number raises CertificateError."""
+    _check_delta(delta)
     m = np.asarray(m, dtype=float)
     rows, cols = _edge_arrays(g)
     out = _apply_pattern(m, g.n, rows, cols, delta)
@@ -327,12 +334,19 @@ def certificate_search(
     Levenberg-Marquardt steps when the polish produced it.  Without
     convergence the certificate carries the best-residual projection
     iterate seen anywhere; rejected polish results are never reported.
+
+    As in certificate_from_json, ``tol`` must be non-negative and finite (a
+    NaN would switch off the polish's residual test) and ``delta`` positive
+    and finite, else CertificateError.
     """
     n = g.n
     if not 0 <= r <= n:
         raise CertificateError(f"rank target {r} outside 0..{n}")
     if restarts < 1 or max_iter < 0:
         raise CertificateError("need restarts >= 1 and max_iter >= 0")
+    if not 0 <= tol < math.inf:
+        raise CertificateError(f"tol={tol} is not a non-negative finite number")
+    _check_delta(delta)
     rows, cols = _edge_arrays(g)
     best_rel = np.inf
     best: tuple[np.ndarray, tuple[float, ...], int] | None = None
@@ -450,16 +464,15 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     exceeding the exact upper bound, or forest bounds that disagree, is a
     contradiction and raises CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
-    to the same sandwich instead of searching them again.
+    to the same sandwich instead of searching them again; here one deletion
+    walk gives t_minus, t_plus and delta_plus.
 
     ``m_exact`` is set only when the lower bound meets min(z, t_plus).  When
     M itself lies below min(z, t_plus) it stays None however good the
     certificates are: the odd n-suns from n = 5 up have M = max(2, n // 2)
     (the 5-sun: M = 2 with z = 3), and no bound here closes them from above.
     """
-    tm = _t_minus_op(g).value
-    tp = _t_plus_op(g).value
-    dp = _delta_plus_op(g).value
+    tm, tp, dp = (w.value for w in _search(g, ("t_minus", "t_plus", "delta_plus")))
     z, _ = zero_forcing_number(g)
     return _sandwich(g, tm, z, tp, dp, numeric=numeric, seed=seed)
 
@@ -469,7 +482,7 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
     """m_sandwich on exact bound values already computed for g."""
     upper = min(z, tp)
     numeric_lower: int | None = None
-    if classify(g).is_forest:
+    if _is_forest_mask(g.adj, (1 << g.n) - 1):
         if tm != upper:
             raise CertificateConflict(
                 f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}"

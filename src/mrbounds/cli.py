@@ -21,7 +21,7 @@ from .certificates import (
     certificate_search,
     write_certificate,
 )
-from .core import FamilyError, generate_family, parse_graph6
+from .core import _FAMILY_KINDS, FamilyError, generate_family, parse_graph6
 from .forcing import zero_forcing_number
 from .reports import (
     compute_report,
@@ -53,10 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family.add_argument(
         "--kind",
         required=True,
-        choices=(
-            "path", "cycle", "star", "wheel", "sun", "complete",
-            "genstar", "unicyclic", "fig1", "fig3", "fig4",
-        ),
+        choices=_FAMILY_KINDS,
     )
     p_family.add_argument("--n", type=int, default=None)
     p_family.add_argument(

@@ -441,9 +441,13 @@ _PARAMETRIC_KINDS = {
     "complete": complete_graph,
 }
 
+# Every kind generate_family builds, in the order of the CLI's --kind choices.
+_FAMILY_KINDS = (*_PARAMETRIC_KINDS, "genstar", "unicyclic", *_FIXED_EXAMPLES)
+
 
 def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
-    """Build a member of a named family; the kinds are the CLI's ``--kind`` choices.
+    """Build a member of a named family; the kinds (_FAMILY_KINDS) are the
+    CLI's ``--kind`` choices.
 
     Kinds: path, cycle, star, wheel, sun, complete (all take ``n``);
     genstar (generalized_star; extras: legs, leg_length; ``n`` ignored);

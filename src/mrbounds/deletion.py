@@ -7,15 +7,15 @@ Two dual pairs are computed exactly by subset search over deletion sets:
 * delta / delta_plus: delete a set S leaving a disjoint union of paths,
   score the path count p against |S| (max of p - |S|, min of p + |S|).
 
-All four are additive over connected components, and one walk per
-component feeds whichever of them a call asks for: each is a record with
-its own improvement rule, stop rule and size cap, and a size is walked
-while any record is still active.  t+- scan only deletion sets as large as
-the component's cycle space, which is always enough; delta+- scan every size
-and need n <= DELTA_BRUTE_MAX_N.  A component that would need more than
-2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  t_minus
-always equals delta; the default delta routine exploits that by upgrading a
-t_minus witness instead of searching.
+All four add over connected components.  One walk per component feeds
+t_minus, t_plus and delta_plus, each a record with its own improvement
+rule, stop rule and size cap, and walks a size while any record is active.
+t+- scan only deletion sets as large as the component's cycle space, which
+is always enough; delta_plus scans every size and needs n <=
+DELTA_BRUTE_MAX_N.  A component that would need more than
+2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  delta
+always equals t_minus, so delta upgrades a t_minus witness; _delta_values,
+an unrelated kept-set sweep, is the oracle the corpus checks compare with.
 
 Each component's walk runs in (size, lex) order and each record keeps only
 strict improvements, and three cuts shorten it without changing a witness
@@ -26,9 +26,9 @@ strict improvements, and three cuts shorten it without changing a witness
   every prefix whose kept sets must all keep that many edges, counted from
   vertex degrees with no traversal;
 * a minimizing record stops once |S| + 1 reaches its best score;
-* a maximizing record stops once min(|K|, alpha) - |S| cannot beat its
-  best, as by Gallai and Milgram (1960) the vertices of any graph split
-  into at most alpha(G) paths.
+* the maximizing record, t_minus's, stops once min(|K|, alpha) - |S|
+  cannot beat its best, as by Gallai and Milgram (1960) the vertices of
+  any graph split into at most alpha(G) paths.
 
 The count is one level BFS per kept set: the BFS counts the components for
 the forest test, and its levels, deepest first, order the leaves-first
@@ -148,6 +148,9 @@ def _deletion_sets(adj, vs, q: int, edges: int, suffix):
         i = chosen[j] + 1
 
 
+# The walk's records by name: (minimize, linear forests only).
+_RECORDS = {"t_minus": (False, False), "t_plus": (True, False), "delta_plus": (True, True)}
+
 # The per-component canonical optima unite to the global canonical witness,
 # the first optimum in (size, lex) order over the whole graph.  This holds for
 # every search whose sets are judged per component and whose values and sizes
@@ -163,14 +166,14 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
     one connected component with ``edges`` edges.
 
     One walk over the deletion sets in ascending (size, lex) order feeds a
-    record per name.  Each kept set K is counted once, by _forest_cover,
-    into its cover number P.  A forest K with c trees has e(K) = |K| - c
-    and P >= c, with equality exactly when each tree is a path; so K is a
-    linear forest iff P = |K| - e(K), and then P is its path count p.
-    delta and delta_plus see only those kept sets.  A record scores P - |S|
-    (t_minus, delta) or P + |S| (t_plus, delta_plus) and keeps only strict
-    improvements, so its optimum is canonical.  t+- stay within size
-    ``t_limit``.
+    record per name, each of t_minus, t_plus and delta_plus (_RECORDS).
+    Each kept set K is counted once, by _forest_cover, into its cover
+    number P.  A forest K with c trees has e(K) = |K| - c and P >= c, with
+    equality exactly when each tree is a path; so K is a linear forest iff
+    P = |K| - e(K), and then P is its path count p.  delta_plus sees only
+    those kept sets.  A record scores P - |S| (t_minus) or P + |S| (t_plus,
+    delta_plus) and keeps only strict improvements, so its optimum is
+    canonical.  t+- stay within size ``t_limit``.
 
     Two cuts stop a record at size q, and a size is walked only while some
     record has not stopped; neither changes a record's witness:
@@ -178,7 +181,7 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
     * A minimizing record stops once q + 1 >= best: every later set scores
       at least |S| + 1, as a nonempty kept set has P >= 1 (the empty kept
       set scores nc, and nc >= q + 1 for any q < nc).
-    * A maximizing record stops once min(nc - q, alpha) - q <= best, where
+    * The maximizing record stops once min(nc - q, alpha) - q <= best, where
       alpha is the component's independence number.  Both sides fall as q
       grows.  P <= |K| = nc - q, and P <= alpha(K) <= alpha: by Gallai and
       Milgram ("Verallgemeinerung eines graphentheoretischen Satzes von
@@ -197,12 +200,12 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
     vs = tuple(_bits(comp))
     nc = len(vs)
     # per name: [minimize, linear forests only, size cap, best value, its
-    # set, its count]; delta+- may need to delete tree vertices (a star's
+    # set, its count]; delta_plus may need to delete tree vertices (a star's
     # centre), so only t+- keep the cycle-space cap
     records = []
     for name in names:
-        paths_only = name.startswith("delta")
-        records.append([name.endswith("plus"), paths_only, nc if paths_only else t_limit, None, 0, 0])
+        minimize, paths_only = _RECORDS[name]
+        records.append([minimize, paths_only, nc if paths_only else t_limit, None, 0, 0])
     # a component holds every neighbour of its vertices, so adj[v] is the
     # degree within it
     suffix = _suffix_degrees(adj, vs, max(rec[2] for rec in records))
@@ -250,11 +253,11 @@ def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]
     summed over the components of the n-vertex graph ``adj``.
 
     t+- scan deletion sets up to the component's cycle space dimension
-    (every size when ``capped`` is false), delta+- every size, which needs
-    n <= DELTA_BRUTE_MAX_N.  The caps are checked before any walk, the t+-
-    work cap first.
+    (every size when ``capped`` is false), delta_plus every size, which
+    needs n <= DELTA_BRUTE_MAX_N.  The caps are checked before any walk, the
+    t+- work cap first.
     """
-    t_asked = any(name.startswith("t_") for name in names)
+    t_asked = any(not _RECORDS[name][1] for name in names)
     plan = []
     for comp in _component_masks(adj, (1 << n) - 1):
         nc = comp.bit_count()
@@ -264,9 +267,8 @@ def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]
         if t_asked and work > 1 << DELTA_BRUTE_MAX_N:
             raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
         plan.append((comp, m_c, t_limit))
-    path_names = [name for name in names if name.startswith("delta")]
-    if path_names and n > DELTA_BRUTE_MAX_N:
-        raise DeletionError(f"{path_names[0]} search capped at n={DELTA_BRUTE_MAX_N}")
+    if "delta_plus" in names and n > DELTA_BRUTE_MAX_N:
+        raise DeletionError(f"delta_plus search capped at n={DELTA_BRUTE_MAX_N}")
     totals = [(0, 0, 0)] * len(names)
     for comp, m_c, t_limit in plan:
         found = _component_walk(adj, comp, m_c, t_limit, names)
@@ -318,22 +320,20 @@ def _delta_values(adj, n: int) -> tuple[int, int]:
     return best_minus, best_plus
 
 
-def delta(g: Graph, *, bruteforce: bool = False) -> DeletionWitness:
+def delta(g: Graph) -> DeletionWitness:
     """max of p - |S| over deletion sets leaving p disjoint paths.
 
-    The default derives a witness from t_minus: the two parameters agree on
-    every graph, and deleting the junction vertices of each tree's greedy
-    cover turns the t_minus forest into a linear forest without changing the
-    score.  ``bruteforce=True`` runs the deletion search directly instead
-    (needs n <= DELTA_BRUTE_MAX_N) and returns the canonical smallest witness.
+    The witness comes from t_minus: the two parameters agree on every graph,
+    and deleting the junction vertices of each tree's greedy cover turns the
+    t_minus forest into a linear forest without changing the score.  It is
+    not always the (size, lex)-first delta optimum.  _delta_values
+    recomputes the value by its own kept-set sweep.
     """
-    if bruteforce:
-        return _search(g, ("delta",))[0]
     return _delta_from(g, t_minus(g))
 
 
 def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
-    """The default delta witness, upgraded from g's t_minus witness ``base``."""
+    """The delta witness, upgraded from g's t_minus witness ``base``."""
     forest, labels = delete_vertices(g, base.s)
     cover = min_path_cover(forest)
     s = set(base.s)

@@ -19,13 +19,13 @@ import io
 import json
 import sys
 from array import array
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _component_masks, _is_forest_mask, classify
+from .core import Graph, _component_masks, _is_forest_mask
 from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -60,7 +60,9 @@ class ParameterReport:
     set, or the forcing set for "z"); may be empty for bulk sweeps.
     ``p_bruteforce`` is the brute-force induced path cover number, absent
     above its size cap; the numeric fields are absent unless requested.
-    ``chain_ok`` records t_minus = delta <= z <= t_plus <= delta_plus <= n.
+    ``chain_ok`` is true when check_chain finds no violation: t_minus =
+    delta <= z <= t_plus <= delta_plus <= n, and p_bruteforce <= t_plus
+    when present.
     """
 
     graph6: str
@@ -86,7 +88,11 @@ class ParameterReport:
     @staticmethod
     def from_dict(d: dict) -> "ParameterReport":
         """Inverse of to_dict; a defaulted key may be absent, a mistyped value
-        raises TypeError, and a key that to_dict never writes raises ValueError."""
+        (a record or a ``witnesses`` value that is not a JSON object among
+        them) raises TypeError, and a key that to_dict never writes raises
+        ValueError."""
+        if not isinstance(d, dict):
+            raise TypeError(f"report record {d!r} is not a JSON object")
         unknown = d.keys() - _FIELD_NAMES
         if unknown:
             raise ValueError(f"unknown report keys {sorted(unknown)}")
@@ -94,6 +100,8 @@ class ParameterReport:
         for f in fields(ParameterReport):
             if f.name == "witnesses":
                 w = d.get(f.name, {})
+                if not isinstance(w, dict):
+                    raise TypeError(f"witnesses {w!r} is not a JSON object")
                 unknown = w.keys() - set(_WITNESS_KEYS)
                 if unknown:
                     raise ValueError(f"witnesses has unknown keys {sorted(unknown)}")
@@ -113,10 +121,6 @@ _CSV_FIELDS = tuple(f for f in fields(ParameterReport) if f.name != "witnesses")
 REPORT_CSV_HEADER = ",".join(
     [f.name for f in _CSV_FIELDS] + [f"witness_{k}" for k in _WITNESS_KEYS]
 )
-
-
-def _chain_holds(tm: int, d: int, z: int, tp: int, dp: int, n: int) -> bool:
-    return tm == d and tm <= z <= tp <= dp <= n
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +207,11 @@ def compute_report(g: Graph, *, with_numeric: bool = False) -> ParameterReport:
     tm_w, tp_w, dp_w = _search(g, ("t_minus", "t_plus", "delta_plus"))
     d_w = _delta_from(g, tm_w)
     z_val, z_wit = zero_forcing_number(g)
-    p = None
-    if g.n <= BRUTE_INDUCED_COVER_MAX_N:
-        p = induced_path_cover_bruteforce(g).size
     sw = _sandwich(g, tm_w.value, z_val, tp_w.value, dp_w.value, numeric=with_numeric)
     sets = (tm_w.s, tp_w.s, d_w.s, dp_w.s, z_wit)
     witnesses = {key: tuple(sorted(s)) for key, s in zip(_WITNESS_KEYS, sets)}
-    return ParameterReport(
-        graph6=g.graph6(),
-        n=g.n,
-        m=g.m,
-        is_forest=classify(g).is_forest,
-        t_minus=tm_w.value,
-        delta=d_w.value,
-        z=z_val,
-        t_plus=tp_w.value,
-        delta_plus=dp_w.value,
-        chain_ok=_chain_holds(tm_w.value, d_w.value, z_val, tp_w.value, dp_w.value, g.n),
-        p_bruteforce=p,
-        m_lower_numeric=sw.numeric_lower,
-        m_exact=sw.m_exact,
-        witnesses=witnesses,
-    )
+    return _report(g, tm_w.value, d_w.value, z_val, tp_w.value, dp_w.value,
+                   m_lower_numeric=sw.numeric_lower, m_exact=sw.m_exact, witnesses=witnesses)
 
 
 def _light_report(g: Graph) -> ParameterReport:
@@ -233,23 +220,28 @@ def _light_report(g: Graph) -> ParameterReport:
     adj = g.adj
     tm, tp = _t_values(adj, g.n)
     d, dp = _delta_values(adj, g.n)
-    z = _z_value(adj, g.n)
-    p = None
-    if g.n <= BRUTE_INDUCED_COVER_MAX_N:
-        p = induced_path_cover_bruteforce(g).size
-    return ParameterReport(
-        graph6=g.graph6(),
-        n=g.n,
-        m=g.m,
-        is_forest=_is_forest_mask(adj, (1 << g.n) - 1),
-        t_minus=tm,
-        delta=d,
-        z=z,
-        t_plus=tp,
-        delta_plus=dp,
-        chain_ok=_chain_holds(tm, d, z, tp, dp, g.n),
-        p_bruteforce=p,
-    )
+    return _report(g, tm, d, _z_value(adj, g.n), tp, dp)
+
+
+def _report(g: Graph, tm: int, d: int, z: int, tp: int, dp: int, **rest) -> ParameterReport:
+    """The report row of g from its exact values; ``rest`` holds the
+    optional fields a caller sets.
+
+    p_bruteforce is computed here up to its size cap, and ``chain_ok`` is
+    ``not check_chain(r)``.  check_chain tests the chain t_minus = delta <=
+    z <= t_plus <= delta_plus <= n and, when p_bruteforce is present, also
+    P_ind <= t_plus.  That extra test never fails on true values, so it
+    changes no verdict: let S be a t_plus deletion set.  Each path of a
+    minimum path cover of the forest G - S is an induced path of G, as an
+    edge of G between two of its vertices would close a cycle in G - S.
+    Those P(G - S) paths and the |S| vertices of S as one-vertex paths
+    partition V(G) into P(G - S) + |S| = t_plus induced paths.
+    """
+    p = induced_path_cover_bruteforce(g).size if g.n <= BRUTE_INDUCED_COVER_MAX_N else None
+    r = ParameterReport(graph6=g.graph6(), n=g.n, m=g.m, is_forest=_is_forest_mask(g.adj, (1 << g.n) - 1),
+                        t_minus=tm, delta=d, p_bruteforce=p, z=z, t_plus=tp, delta_plus=dp,
+                        chain_ok=True, **rest)
+    return replace(r, chain_ok=not check_chain(r))
 
 
 def check_chain(report: ParameterReport) -> list[dict]:
@@ -453,7 +445,7 @@ def load_reports_json(source) -> list[ParameterReport]:
     for i, d in enumerate(data):
         try:
             out.append(ParameterReport.from_dict(d))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"JSON record {i} is malformed: {exc!r}") from exc
     return out
 

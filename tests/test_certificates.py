@@ -53,6 +53,11 @@ class TestSampleAndProjectPattern:
             mb.sample_pattern(g, seed=0, delta=0.0)
         with pytest.raises(mb.CertificateError):
             mb.project_pattern(np.zeros((2, 2)), g, delta=-1.0)
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(mb.CertificateError):
+                mb.sample_pattern(g, seed=0, delta=delta)
+            with pytest.raises(mb.CertificateError):
+                mb.project_pattern(np.zeros((2, 2)), g, delta=delta)
 
     def test_validate_catches_violations(self):
         g = mb.path_graph(3)
@@ -157,6 +162,20 @@ class TestCertificateSearch:
             mb.certificate_search(g, 5)
         with pytest.raises(mb.CertificateError):
             mb.certificate_search(g, 1, restarts=0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("tol", float("nan")),
+        ("tol", -1.0),
+        ("tol", float("inf")),
+        ("delta", float("nan")),
+        ("delta", float("inf")),
+        ("delta", 0.0),
+    ])
+    def test_bad_tol_or_delta_rejected(self, key, value):
+        # a NaN tol would switch off the polish's residual test and let the
+        # 5-sun (M = 2) pass as a rank-7 certificate, M >= 3
+        with pytest.raises(mb.CertificateError, match=key):
+            mb.certificate_search(mb.sun_graph(5), 7, restarts=3, **{key: value})
 
     def test_nullity_respects_forcing_bound(self):
         # converged nullity claims must stay under the zero forcing number

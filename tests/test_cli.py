@@ -7,6 +7,7 @@ import pytest
 import mrbounds as mb
 from mrbounds import reports
 from mrbounds.cli import main
+from mrbounds.core import _FAMILY_KINDS
 
 
 def run(capsys, *argv):
@@ -33,6 +34,12 @@ class TestFamily:
         )
         assert code == 0
         assert out.strip() == mb.generalized_star(legs=4, leg_length=3).graph6()
+
+    def test_every_kind_is_a_choice(self, capsys):
+        for kind in _FAMILY_KINDS:
+            code, out, _ = run(capsys, "family", "--kind", kind, "--n", "6")
+            assert code == 0
+            assert out.strip() == mb.generate_family(kind, 6).graph6()
 
     def test_malformed_extra(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "genstar", "--extra", "legs4")
@@ -145,6 +152,15 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--graph6", "Bg", "--rank", "9")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("option,value", [("--tol", "nan"), ("--tol", "-1"), ("--delta", "nan")])
+    def test_bad_tol_or_delta_is_a_usage_error(self, capsys, option, value):
+        g6 = mb.sun_graph(5).graph6()
+        code, out, err = run(capsys, "certify", "--graph6", g6, "--rank", "7", "--restarts", "3",
+                             option, value)
+        assert code == 2
+        assert out == ""
+        assert option[2:] in err
 
 
 class TestZf:

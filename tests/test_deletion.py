@@ -67,26 +67,22 @@ def brute_t(g, minimize):
     return best
 
 
-def first_linear_optima(g):
-    """Reference for the canonical delta and delta_plus witnesses: scan every
-    deletion set of the whole graph in (size, lex) order, no components, no
-    pruning, and keep the first set with the optimal score.  Returns
-    {parameter: (set, value, path count)}."""
-    best = {}
+def first_delta_plus(g):
+    """Reference for the canonical delta_plus witness: scan every deletion
+    set of the whole graph in (size, lex) order, no components, no pruning,
+    and keep the first set with the least score.  Returns (set, value, path
+    count)."""
+    best = None
     for q in range(g.n + 1):
         for sub in itertools.combinations(range(g.n), q):
             deco = mb.classify(mb.delete_vertices(g, sub)[0])
-            if not deco.is_linear_forest:
-                continue
-            for name, val, better in (("delta", deco.p - q, int.__gt__),
-                                      ("delta_plus", deco.p + q, int.__lt__)):
-                if name not in best or better(val, best[name][1]):
-                    best[name] = (frozenset(sub), val, deco.p)
+            if deco.is_linear_forest and (best is None or deco.p + q < best[1]):
+                best = (frozenset(sub), deco.p + q, deco.p)
     return best
 
 
 def first_optima(g):
-    """Reference for all four canonical deletion witnesses: scan every
+    """Reference for the three canonical deletion walk witnesses: scan every
     deletion set of the whole graph in (size, lex) order, with no components,
     no size cap and no cycle prechecks, and keep the first set with the
     optimal score.  The forest cover comes from min_path_cover, not from the
@@ -99,7 +95,7 @@ def first_optima(g):
             cover = mb.min_path_cover(forest).size if deco.is_forest else None
             paths = deco.p if deco.is_linear_forest else None
             for name, p, minimize in (("t_minus", cover, False), ("t_plus", cover, True),
-                                      ("delta", paths, False), ("delta_plus", paths, True)):
+                                      ("delta_plus", paths, True)):
                 if p is None:
                     continue
                 val = p + q if minimize else p - q
@@ -189,17 +185,10 @@ class TestWitnesses:
         w = mb.t_plus(mb.cycle_graph(5))
         assert sorted(w.s) == [0]
 
-    def test_delta_brute_canonical(self):
-        d = mb.delta(FIG1, bruteforce=True)
-        assert d.value == 2
-        assert sorted(d.s) == [1, 3]
-        assert d.decomposition.is_linear_forest
-        assert d.decomposition.p - len(d.s) == 2
-
     def test_delta_upgrade_equals_brute_value(self, rng):
         for _ in range(60):
             g = random_graph(6, 0.4, rng)
-            assert mb.delta(g).value == mb.delta(g, bruteforce=True).value
+            assert mb.delta(g).value == _delta_values(g.adj, g.n)[0]
 
     @pytest.mark.parametrize("source", ["labeled_n_le_5", "interleaved_unions"])
     def test_delta_witnesses_match_global_scan(self, source, rng):
@@ -208,13 +197,10 @@ class TestWitnesses:
         else:
             graphs = [interleaved_union(rng) for _ in range(100)]
         for g in graphs:
-            ref = first_linear_optima(g)
-            for w in (mb.delta(g, bruteforce=True), mb.delta_plus(g)):
-                assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], g.graph6()
+            w = mb.delta_plus(g)
+            assert (w.s, w.value, w.p_or_cover) == first_delta_plus(g), g.graph6()
 
     def test_delta_brute_cap(self):
-        with pytest.raises(DeletionError):
-            mb.delta(Graph.from_edges(17), bruteforce=True)
         with pytest.raises(DeletionError):
             mb.delta_plus(Graph.from_edges(17))
 
@@ -235,9 +221,17 @@ class TestPrunedKernel:
             ref = first_optima(g)
             # the three searches of a report, from one joint walk
             joint = _search(g, ("t_minus", "t_plus", "delta_plus"))
-            for w in (mb.t_minus(g), mb.t_plus(g), mb.delta(g, bruteforce=True), mb.delta_plus(g), *joint):
+            for w in (mb.t_minus(g), mb.t_plus(g), mb.delta_plus(g), *joint):
                 assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (w.parameter, g.graph6())
             assert _t_values(g.adj, g.n) == (ref["t_minus"][1], ref["t_plus"][1])
+
+    def test_delta_has_one_engine(self):
+        # delta is always the t_minus upgrade: no keyword picks another
+        # engine, and the walk keeps no delta record
+        with pytest.raises(TypeError):
+            mb.delta(FIG1, bruteforce=True)
+        with pytest.raises(KeyError):
+            _walk(FIG1.adj, FIG1.n, ("delta",))
 
     def test_count_never_sees_a_cyclic_kept_set(self, monkeypatch):
         # K8 less a 3-edge matching: most kept sets hold a cycle
@@ -326,10 +320,7 @@ class TestCaps:
         for _ in range(40):
             g = random_graph(7, 0.35, rng)
             assert _t_values(g.adj, g.n) == (mb.t_minus(g).value, mb.t_plus(g).value)
-            assert _delta_values(g.adj, g.n) == (
-                mb.delta(g, bruteforce=True).value,
-                mb.delta_plus(g).value,
-            )
+            assert _delta_values(g.adj, g.n) == (mb.delta(g).value, mb.delta_plus(g).value)
 
 
 class TestAdditivity:

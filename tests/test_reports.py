@@ -113,8 +113,9 @@ class TestComputeReportSharesSearches:
 
     def test_each_search_runs_once(self, monkeypatch):
         # every name under which a search is reached, by the search it runs;
-        # compute_report reaches t_minus, t_plus and delta_plus only through
-        # the one joint walk, never through their own entry points
+        # compute_report and m_sandwich each reach t_minus, t_plus and
+        # delta_plus only through the one joint walk, never through their
+        # own entry points
         sites = {
             "walk": [(deletion, "_walk")],
             "t_minus": [(reports, "t_minus"), (deletion, "t_minus"), (certificates, "_t_minus_op")],
@@ -136,9 +137,10 @@ class TestComputeReportSharesSearches:
             for owner, attr in names:
                 monkeypatch.setattr(owner, attr, counted(search, getattr(owner, attr)))
         for g in (mb.wheel_graph(6), mb.sun_graph(3), mb.path_graph(5)):
-            calls.update(dict.fromkeys(sites, 0))
-            mb.compute_report(g, with_numeric=True)
-            assert calls == expected
+            for run in (lambda: mb.compute_report(g, with_numeric=True), lambda: mb.m_sandwich(g)):
+                calls.update(dict.fromkeys(sites, 0))
+                run()
+                assert calls == expected
 
     def test_no_kept_set_counted_twice(self, monkeypatch):
         # the joint walk counts each kept set once for all three records
@@ -426,6 +428,13 @@ class TestSerialization:
         text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
         with pytest.raises(ValueError, match=f"row 1 is malformed.*{column}"):
             mb.load_reports_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("record", [[1], "witnesses"])
+    def test_from_dict_rejects_a_non_object(self, record):
+        if record == "witnesses":
+            record = dict(mb.compute_report(mb.path_graph(3)).to_dict(), witnesses=[1])
+        with pytest.raises(TypeError, match="not a JSON object"):
+            mb.ParameterReport.from_dict(record)
 
     def test_emit_is_deterministic(self):
         reps = self.reports()[:2]
