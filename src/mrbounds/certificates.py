@@ -10,6 +10,12 @@ a fixed-rank factor and kept only at machine-precision residual.
 Certificates are numerical claims with an explicit tolerance, never proofs;
 m_sandwich combines them with the exact combinatorial bounds and refuses to
 let the numerics override those.
+
+The rank test: a matrix with singular values sigma (descending) passes at
+rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
+rules hold wherever an argument is taken or loaded: 0 <= r <= n, tol
+non-negative and finite, delta positive and finite.  A breach raises
+CertificateError, and verify_certificate returns False.
 """
 
 from __future__ import annotations
@@ -77,9 +83,27 @@ class CertificateConflict(CertificateError):
     """Bounds that contradict each other: a verification failure, not bad input."""
 
 
+def _check_rank(r: int, n: int) -> None:
+    if not 0 <= r <= n:
+        raise CertificateError(f"rank target {r} outside 0..{n}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise CertificateError(f"tol={tol} is not a non-negative finite number")
+
+
 def _check_delta(delta: float) -> None:
     if not 0 < delta < math.inf:
         raise CertificateError(f"delta={delta} is not a positive finite number")
+
+
+def _residual(sigma, r: int) -> float:
+    """sigma[r] / sigma[0] for the n descending singular values ``sigma``;
+    0 when r >= n (nothing is truncated) or sigma[0] == 0 (zero matrix)."""
+    if r >= len(sigma) or sigma[0] == 0:
+        return 0.0
+    return float(sigma[r]) / float(sigma[0])
 
 
 @dataclass(frozen=True)
@@ -118,7 +142,7 @@ class RankCertificate:
     """Outcome of one rank-r pattern search.
 
     ``sigma`` holds the singular values (eigenvalue magnitudes, descending)
-    of ``matrix``; ``converged`` means sigma[r] <= tol * sigma[0] held, so
+    of ``matrix``; ``converged`` means the rank test passed at ``tol``, so
     the matrix has numerical rank <= r and the graph has maximum nullity at
     least ``m_lower``.  ``iterations`` counts the projection rounds of the
     reported iterate within its restart, plus the Levenberg-Marquardt steps
@@ -158,8 +182,7 @@ def _apply_pattern(m: np.ndarray, n: int, rows, cols, delta: float) -> np.ndarra
 def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> PatternMatrix:
     """Random pattern member: edge entries uniform over +-[delta, 1],
     diagonal uniform over [-1, 1].  Deterministic for a fixed seed; draws
-    happen in vertex order for the diagonal, then sorted edge order.  A
-    ``delta`` that is not a positive finite number raises CertificateError."""
+    happen in vertex order for the diagonal, then sorted edge order."""
     _check_delta(delta)
     rng = np.random.default_rng(seed)
     a = np.zeros((g.n, g.n))
@@ -174,8 +197,7 @@ def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> Pattern
 
 def project_pattern(m: np.ndarray, g: Graph, delta: float = DELTA_DEFAULT) -> PatternMatrix:
     """Nearest pattern member: zero the non-edges, clamp small edge entries
-    to sign * delta (sign of zero taken positive), keep the diagonal.  A
-    ``delta`` that is not a positive finite number raises CertificateError."""
+    to sign * delta (sign of zero taken positive), keep the diagonal."""
     _check_delta(delta)
     m = np.asarray(m, dtype=float)
     rows, cols = _edge_arrays(g)
@@ -188,10 +210,8 @@ def project_rank(m: np.ndarray, r: int) -> np.ndarray:
     """Nearest (Frobenius) symmetric matrix of rank <= r: spectral
     truncation keeping the r eigenvalues of largest magnitude."""
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if not 0 <= r <= n:
-        raise CertificateError(f"rank target {r} outside 0..{n}")
-    if r == n:
+    _check_rank(r, m.shape[0])
+    if r == m.shape[0]:
         return m.copy()
     lam, q = np.linalg.eigh(m)
     out = _truncate(lam, q, np.argsort(-np.abs(lam), kind="stable")[:r])
@@ -220,8 +240,8 @@ def _polish(a: np.ndarray, r: int, rows, cols, tol: float, delta: float):
     ``a`` in magnitude.
 
     The result has its non-edges zeroed and is scaled up, if needed, so that
-    every edge is at least ``delta`` in magnitude.  It is accepted only if
-    sigma[r] <= min(tol, POLISH_TOL) * sigma[0] and every edge is at least
+    every edge is at least ``delta`` in magnitude.  It is accepted only if it
+    passes the rank test at min(tol, POLISH_TOL) and every edge is at least
     POLISH_EDGE_ACCEPT * sigma[0] in magnitude.  Returns (entries, sigma,
     steps) for an accepted matrix, else None.
     """
@@ -287,7 +307,7 @@ def _polish(a: np.ndarray, r: int, rows, cols, tol: float, delta: float):
         least = float(np.min(np.abs(entries[rows, cols])))
     sig = np.sort(np.abs(np.linalg.eigvalsh(entries)))[::-1]
     s1 = float(sig[0])
-    if s1 == 0.0 or sig[r] > min(tol, POLISH_TOL) * s1 or least < POLISH_EDGE_ACCEPT * s1:
+    if s1 == 0.0 or _residual(sig, r) > min(tol, POLISH_TOL) or least < POLISH_EDGE_ACCEPT * s1:
         return None
     return entries, tuple(float(v) for v in sig), steps
 
@@ -307,7 +327,7 @@ def certificate_search(
 
     Restart i samples with seed + i; restarts run in order and the first
     converged iterate wins.  Convergence of a projection iterate is judged on
-    the pattern-feasible iterate: sigma[r] <= tol * sigma[0].
+    the pattern-feasible iterate, by the rank test at ``tol``.
 
     Stop rule: a restart ends when it converges, when it reaches ``max_iter``
     rounds, or when it stalls: its best residual fell by less than
@@ -322,7 +342,7 @@ def certificate_search(
     POLISH_EDGE_FLOOR times the iterate's sigma[0], keeping its sign.
     Acceptance: the polished matrix (non-edges zeroed) counts as converged
     only if quadratic convergence took its residual down to machine
-    precision, sigma[r] <= min(tol, POLISH_TOL) * sigma[0], with every edge
+    precision, the rank test at min(tol, POLISH_TOL), with every edge
     at least POLISH_EDGE_ACCEPT times its own sigma[0] in magnitude.  A
     residual that merely passes ``tol`` is not enough: on infeasible targets
     the polish can creep to 1e-8 by shrinking edges, and the edge rule stops
@@ -334,19 +354,13 @@ def certificate_search(
     Levenberg-Marquardt steps when the polish produced it.  Without
     convergence the certificate carries the best-residual projection
     iterate seen anywhere; rejected polish results are never reported.
-
-    As in certificate_from_json, ``tol`` must be non-negative and finite (a
-    NaN would switch off the polish's residual test) and ``delta`` positive
-    and finite, else CertificateError.
     """
     n = g.n
-    if not 0 <= r <= n:
-        raise CertificateError(f"rank target {r} outside 0..{n}")
+    _check_rank(r, n)
+    _check_tol(tol)
+    _check_delta(delta)
     if restarts < 1 or max_iter < 0:
         raise CertificateError("need restarts >= 1 and max_iter >= 0")
-    if not 0 <= tol < math.inf:
-        raise CertificateError(f"tol={tol} is not a non-negative finite number")
-    _check_delta(delta)
     rows, cols = _edge_arrays(g)
     best_rel = np.inf
     best: tuple[np.ndarray, tuple[float, ...], int] | None = None
@@ -358,12 +372,7 @@ def certificate_search(
             lam, q = np.linalg.eigh(a)
             order = np.argsort(-np.abs(lam), kind="stable")
             sig = np.abs(lam)[order]
-            s1 = float(sig[0]) if n else 0.0
-            tail = float(sig[r]) if r < n else 0.0
-            if s1 > 0:
-                rel = tail / s1
-            else:
-                rel = 0.0 if tail == 0.0 else np.inf
+            rel = _residual(sig, r)
             if rel < best_rel:
                 best_rel = rel
                 best = (a.copy(), tuple(float(x) for x in sig), rounds)
@@ -394,29 +403,22 @@ def certificate_search(
 
 
 def verify_certificate(c: RankCertificate) -> bool:
-    """Independent check: exact pattern membership plus the tolerance test
-    on a freshly computed spectrum.  True only if both hold.
+    """Independent check: the argument rules, exact pattern membership and
+    the rank test on a freshly computed spectrum.  True only if all hold.
 
-    The tolerance test alone cannot prove a nullity on near-degenerate
+    The rank test alone cannot prove a nullity on near-degenerate
     spectra: Wilkinson's W21+ shifted by its top eigenvalue is a pattern
     matrix of P_21 whose sigma[19] / sigma[0] is about 6e-15, so it verifies
     as a rank-19 certificate (nullity 2) although M(P_21) = 1.
     """
     try:
         c.matrix.validate()
+        _check_rank(c.r, c.matrix.graph.n)
+        _check_tol(c.tol)
     except CertificateError:
         return False
-    n = c.matrix.graph.n
-    if not 0 <= c.r <= n:
-        return False
-    if c.r >= n:
-        return True
     sig = np.sort(np.abs(np.linalg.eigvalsh(c.matrix.entries)))[::-1]
-    s1 = float(sig[0]) if n else 0.0
-    tail = float(sig[c.r])
-    if s1 == 0.0:
-        return tail == 0.0
-    return tail <= c.tol * s1
+    return _residual(sig, c.r) <= c.tol
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +536,10 @@ _CERTIFICATE_TYPES = {"n": (int,), "graph6": (str,), "r": (int,), "entries": (li
 def certificate_from_json(text: str) -> RankCertificate:
     """Inverse of certificate_to_json.  A missing key, a value whose JSON
     type does not match the field, ``entries`` that are not n^2 numbers,
-    ``sigma`` that is not n values, ``r`` outside 0..n, a ``delta`` that is
-    not a positive finite number, a negative or non-finite ``tol``, a
-    ``sigma`` that holds a negative or non-finite value or is not
-    non-increasing, or a negative ``iterations`` raises CertificateError."""
+    ``sigma`` that is not n values, an ``r``, ``tol`` or ``delta`` that
+    breaks the argument rules, a ``sigma`` that holds a negative or
+    non-finite value or is not non-increasing, or a negative ``iterations``
+    raises CertificateError."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise CertificateError("certificate JSON is not an object")
@@ -554,12 +556,9 @@ def certificate_from_json(text: str) -> RankCertificate:
         raise CertificateError(f"certificate entries has {len(d['entries'])} numbers, need n^2 = {g.n * g.n}")
     if len(d["sigma"]) != g.n:
         raise CertificateError(f"certificate sigma has {len(d['sigma'])} values, need n = {g.n}")
-    if not 0 <= d["r"] <= g.n:
-        raise CertificateError(f"certificate r={d['r']} is outside 0..{g.n}")
-    if not 0 < d["delta"] < math.inf:
-        raise CertificateError(f"certificate delta={d['delta']} is not a positive finite number")
-    if not 0 <= d["tol"] < math.inf:
-        raise CertificateError(f"certificate tol={d['tol']} is not a non-negative finite number")
+    _check_rank(d["r"], g.n)
+    _check_tol(d["tol"])
+    _check_delta(d["delta"])
     sigma = d["sigma"]
     if not all(0 <= x < math.inf for x in sigma) or any(a < b for a, b in zip(sigma, sigma[1:])):
         raise CertificateError(f"certificate sigma={sigma} is not non-negative, finite and non-increasing")

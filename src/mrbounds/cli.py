@@ -18,6 +18,7 @@ from .certificates import (
     RESTARTS_DEFAULT,
     TOL_DEFAULT,
     CertificateConflict,
+    _residual,
     certificate_search,
     write_certificate,
 )
@@ -149,7 +150,7 @@ def _cmd_certify(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    residual = cert.sigma[cert.r] / cert.sigma[0] if cert.r < g.n and cert.sigma[0] else 0.0
+    residual = _residual(cert.sigma, cert.r)
     status = "converged" if cert.converged else "not converged"
     print(
         f"rank {cert.r} on {g.n} vertices: {status} "

@@ -122,9 +122,9 @@ def min_path_cover(g: Graph) -> PathCover:
                 junctions.add(v)
                 for w in arms[2:]:
                     paths.append(tuple(open_at.pop(w)))
+        # each vertex took in all its open children, so only the root can be open
         if order[0] in open_at:
             paths.append(tuple(open_at.pop(order[0])))
-        paths.extend(tuple(p) for p in open_at.values())
     cover = PathCover(tuple(paths), frozenset(junctions))
     _validate_cover(g, cover)
     return cover

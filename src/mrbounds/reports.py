@@ -89,8 +89,9 @@ class ParameterReport:
     def from_dict(d: dict) -> "ParameterReport":
         """Inverse of to_dict; a defaulted key may be absent, a mistyped value
         (a record or a ``witnesses`` value that is not a JSON object among
-        them) raises TypeError, and a key that to_dict never writes raises
-        ValueError."""
+        them) raises TypeError, and a key that to_dict never writes or a
+        witness that is not a strictly increasing list of vertices in 0..n-1
+        raises ValueError."""
         if not isinstance(d, dict):
             raise TypeError(f"report record {d!r} is not a JSON object")
         unknown = d.keys() - _FIELD_NAMES
@@ -107,6 +108,9 @@ class ParameterReport:
                     raise ValueError(f"witnesses has unknown keys {sorted(unknown)}")
                 if any(type(v) is not list or any(type(x) is not int for x in v) for v in w.values()):
                     raise TypeError(f"witnesses {w!r} are not lists of ints")
+                n = kwargs["n"]
+                if any(v != sorted(set(v)) or v and (v[0] < 0 or v[-1] >= n) for v in w.values()):
+                    raise ValueError(f"witnesses {w!r} are not strictly increasing vertices in 0..{n - 1}")
                 kwargs[f.name] = {k: tuple(v) for k, v in w.items()}
             elif f.default is MISSING or f.name in d:
                 if type(d[f.name]) not in _JSON_TYPES[f.type]:
@@ -311,61 +315,31 @@ _SURVEY_CLASSES = {
 }
 
 
-def survey_open_questions(max_n: int, extra_graphs: Iterable[Graph] = ()) -> dict:
+def survey_open_questions(max_n: int) -> dict:
     """Empirical equality classes over the labeled corpus with n <= max_n.
 
     For each of the four comparisons (t_minus vs t_plus, z vs t_plus, p vs
     t_plus, delta vs delta_plus) the summary holds the graph6 lists where
     equality holds and where it is strict, with counts.  These are lists,
     not characterizations.  Every labeled graph is listed, but the values
-    are computed once per isomorphism class.  ``extra_graphs`` join the
-    sweep after the corpus, each computed on its own (duplicates skipped),
-    so reference graphs beyond max_n can be placed, up to the brute-force
-    induced cover cap of n = BRUTE_INDUCED_COVER_MAX_N; a larger one raises
-    ValueError before any work is done.
+    are computed once per isomorphism class.  Place any other graph with
+    compute_report.
     """
     if max_n > 6:
         raise ValueError("survey capped at max_n <= 6")
-    extra_graphs = list(extra_graphs)
-    for g in extra_graphs:
-        if g.n > BRUTE_INDUCED_COVER_MAX_N:
-            raise ValueError(
-                f"extra graph with n={g.n} above the induced cover cap "
-                f"n={BRUTE_INDUCED_COVER_MAX_N}"
-            )
-    summary: dict = {"max_n": max_n, "classes": {}}
-    for name in _SURVEY_CLASSES:
-        summary["classes"][name] = {
-            "equal": [],
-            "strict": [],
-            "equal_count": 0,
-            "strict_count": 0,
-        }
-    seen: set[str] = set()
-
-    def equalities(r: ParameterReport) -> tuple[bool, ...]:
-        return tuple(getattr(r, a) == getattr(r, b) for a, b in _SURVEY_CLASSES.values())
-
-    def place(key: str, flags: tuple[bool, ...]) -> None:
-        seen.add(key)
-        for name, equal in zip(_SURVEY_CLASSES, flags):
-            summary["classes"][name]["equal" if equal else "strict"].append(key)
-
+    lists = {name: ([], []) for name in _SURVEY_CLASSES}  # (equal, strict)
     for n in range(1, max_n + 1):
-        class_flags: list[tuple[bool, ...]] = []
+        class_flags: list[list[bool]] = []
         for g, c in _isomorphism_classes(n):
             if c == len(class_flags):
-                class_flags.append(equalities(_light_report(g)))
-            place(g.graph6(), class_flags[c])
-    for g in extra_graphs:
-        key = g.graph6()
-        if key not in seen:
-            place(key, equalities(_light_report(g)))
-    for name in _SURVEY_CLASSES:
-        bucket = summary["classes"][name]
-        bucket["equal_count"] = len(bucket["equal"])
-        bucket["strict_count"] = len(bucket["strict"])
-    return summary
+                r = _light_report(g)
+                class_flags.append([getattr(r, a) == getattr(r, b) for a, b in _SURVEY_CLASSES.values()])
+            key = g.graph6()
+            for (equal, strict), same in zip(lists.values(), class_flags[c]):
+                (equal if same else strict).append(key)
+    classes = {name: {"equal": eq, "strict": st, "equal_count": len(eq), "strict_count": len(st)}
+               for name, (eq, st) in lists.items()}
+    return {"max_n": max_n, "classes": classes}
 
 
 # ---------------------------------------------------------------------------

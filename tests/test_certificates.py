@@ -156,6 +156,18 @@ class TestCertificateSearch:
         empty = mb.certificate_search(mb.Graph(2, frozenset()), 0)
         assert empty.converged
 
+    @pytest.mark.parametrize("g", [mb.Graph(0, frozenset()), mb.path_graph(1), mb.Graph(3, frozenset()),
+                                   mb.path_graph(3), mb.cycle_graph(5), mb.complete_graph(4)],
+                             ids=lambda g: g.graph6())
+    def test_boundary_ranks_verify_when_converged(self, g):
+        # r = n keeps the whole spectrum, and an edgeless pattern holds the zero
+        # matrix, whose empty or zero spectrum passes the rank test at r = 0
+        for r in (0, g.n):
+            c = mb.certificate_search(g, r, restarts=2, max_iter=50)
+            if r == g.n or not g.edges:
+                assert c.converged
+            assert mb.verify_certificate(c) == c.converged
+
     def test_bad_parameters(self):
         g = mb.path_graph(3)
         with pytest.raises(mb.CertificateError):
@@ -200,6 +212,21 @@ class TestVerifyCertificate:
             c.converged, c.iterations,
         )
         assert not mb.verify_certificate(forged)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("g,r", [(mb.path_graph(3), 3), (mb.cycle_graph(5), 3)], ids=["P3-r3", "C5-r3"])
+    def test_tol_outside_the_rule_never_verifies(self, g, r, tol):
+        # at r = n the rank test passes for any tol >= 0; the tol rule still holds
+        c = mb.certificate_search(g, r)
+        assert mb.verify_certificate(c)
+        forged = mb.RankCertificate(c.matrix, c.r, c.sigma, tol, True, c.iterations)
+        assert not mb.verify_certificate(forged)
+
+    def test_residual(self):
+        assert certificates._residual((4.0, 2.0, 1.0), 1) == 0.5
+        assert certificates._residual((4.0, 2.0, 1.0), 3) == 0.0
+        assert certificates._residual((0.0, 0.0), 0) == 0.0
+        assert certificates._residual((), 0) == 0.0
 
     def test_rejects_wrong_tolerance_claim(self):
         g = mb.path_graph(4)

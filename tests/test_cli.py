@@ -5,7 +5,7 @@ import json
 import pytest
 
 import mrbounds as mb
-from mrbounds import reports
+from mrbounds import certificates, reports
 from mrbounds.cli import main
 from mrbounds.core import _FAMILY_KINDS
 
@@ -147,6 +147,14 @@ class TestCertify:
                            "--restarts", "2", "--max-iter", "200")
         assert code == 1
         assert "not converged" in out
+
+    @pytest.mark.parametrize("graph6,rank", [("Dhc", 3), ("Dhc", 5), ("Ch", 2)])
+    def test_residual_is_the_rank_test_value(self, capsys, tmp_path, graph6, rank):
+        dst = tmp_path / "cert.json"
+        _, out, _ = run(capsys, "certify", "--graph6", graph6, "--rank", str(rank), "--restarts", "2",
+                        "--max-iter", "200", "--out", str(dst))
+        cert = mb.read_certificate(str(dst))
+        assert f"(residual {certificates._residual(cert.sigma, cert.r):.3e}," in out
 
     def test_bad_rank(self, capsys):
         code, _, err = run(capsys, "certify", "--graph6", "Bg", "--rank", "9")

@@ -281,32 +281,9 @@ class TestSurvey:
         s = mb.survey_open_questions(5)
         assert mb.cycle_graph(5).graph6() in s["classes"]["z_eq_t_plus"]["equal"]
 
-    def test_extra_graphs_join_sweep(self):
-        fig4 = mb.generate_family("fig4")
-        s = mb.survey_open_questions(3, extra_graphs=[fig4])
-        assert fig4.graph6() in s["classes"]["z_eq_t_plus"]["strict"]
-        # duplicates of corpus members are skipped
-        s2 = mb.survey_open_questions(3, extra_graphs=[mb.path_graph(3)])
-        assert s2["classes"]["z_eq_t_plus"]["equal_count"] == 11
-
     def test_cap(self):
         with pytest.raises(ValueError):
             mb.survey_open_questions(7)
-
-    def test_extra_graph_above_cover_cap_rejected_up_front(self, monkeypatch):
-        swept = []
-        real = reports._isomorphism_classes
-        monkeypatch.setattr(
-            reports, "_isomorphism_classes", lambda *a: swept.append(a) or real(*a)
-        )
-        with pytest.raises(ValueError, match="cap n=8") as excinfo:
-            mb.survey_open_questions(1, extra_graphs=[mb.path_graph(9)])
-        assert not isinstance(excinfo.value, mb.PathCoverError)
-        assert swept == []
-        p8 = mb.path_graph(8).graph6()
-        s = mb.survey_open_questions(1, extra_graphs=iter([mb.path_graph(8)]))
-        for bucket in s["classes"].values():
-            assert bucket["equal"] == ["@", p8]
 
 
 class TestSerialization:
@@ -405,6 +382,12 @@ class TestSerialization:
         # keys that reports never write
         ("bogus", 1),
         ("witnesses", {"z": [0], "bogus": [1]}),
+        # witnesses that are not strictly increasing vertices of P3
+        ("witnesses", {"z": [3, -1, 3]}),
+        ("witnesses", {"z": [1, 0]}),
+        ("witnesses", {"z": [0, 0]}),
+        ("witnesses", {"z": [3]}),
+        ("witnesses", {"z": [-1]}),
     ])
     def test_mistyped_json_rejected(self, key, value):
         good = mb.compute_report(mb.path_graph(3)).to_dict()
@@ -427,6 +410,17 @@ class TestSerialization:
         row[lines[0].split(",").index(column)] = cell
         text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
         with pytest.raises(ValueError, match=f"row 1 is malformed.*{column}"):
+            mb.load_reports_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("cell", ["3;-1;3", "1;0", "0;0", "3", "-1"])
+    def test_witness_cell_not_increasing_vertices_rejected(self, cell):
+        buf = io.StringIO()
+        mb.emit_report([mb.compute_report(mb.path_graph(3))] * 2, format="csv", destination=buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index("witness_z")] = cell
+        text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match="row 1 is malformed.*strictly increasing vertices in 0..2"):
             mb.load_reports_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("record", [[1], "witnesses"])
