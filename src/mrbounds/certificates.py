@@ -462,9 +462,10 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     tried at descending nullity targets from the upper bound down to just
     above t_minus; the first verified convergence sets numeric_lower.  Each
     target runs certificate_search at its default settings from ``seed``;
-    call certificate_search directly for other settings.  A numeric claim
-    exceeding the exact upper bound, or forest bounds that disagree, is a
-    contradiction and raises CertificateConflict instead of being reported.
+    call certificate_search directly for other settings.  The first target is
+    min(z, t_plus, n), so a numeric claim never exceeds the exact upper bound.
+    Forest bounds that disagree are a contradiction and raise
+    CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
     to the same sandwich instead of searching them again; here one deletion
     walk gives t_minus, t_plus and delta_plus.
@@ -499,10 +500,6 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
                 if cert.converged and verify_certificate(cert):
                     numeric_lower = k
                     break
-        if numeric_lower is not None and numeric_lower > upper:
-            raise CertificateConflict(
-                f"numeric lower bound {numeric_lower} exceeds exact upper bound {upper}"
-            )
         m_exact = upper if numeric_lower == upper else None
     return MSandwich(tm, numeric_lower, z, tp, dp, m_exact)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _component_masks, _is_forest_mask
+from .core import Graph, _component_masks, _is_forest_mask, parse_graph6
 from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -89,9 +89,11 @@ class ParameterReport:
     def from_dict(d: dict) -> "ParameterReport":
         """Inverse of to_dict; a defaulted key may be absent, a mistyped value
         (a record or a ``witnesses`` value that is not a JSON object among
-        them) raises TypeError, and a key that to_dict never writes or a
-        witness that is not a strictly increasing list of vertices in 0..n-1
-        raises ValueError."""
+        them) raises TypeError.  ValueError is raised for a key that to_dict
+        never writes, a witness that is not a strictly increasing list of
+        vertices in 0..n-1, a graph6 that does not decode, and an n, m or
+        is_forest that the decoded graph does not have.  ``chain_ok`` is
+        loaded as written, even where check_chain disagrees."""
         if not isinstance(d, dict):
             raise TypeError(f"report record {d!r} is not a JSON object")
         unknown = d.keys() - _FIELD_NAMES
@@ -116,7 +118,11 @@ class ParameterReport:
                 if type(d[f.name]) not in _JSON_TYPES[f.type]:
                     raise TypeError(f"{f.name} {d[f.name]!r} is not {f.type}")
                 kwargs[f.name] = d[f.name]
-        return ParameterReport(**kwargs)
+        r = ParameterReport(**kwargs)
+        g = parse_graph6(r.graph6)  # Graph6Error is a ValueError
+        if (r.n, r.m, r.is_forest) != (g.n, g.m, _is_forest_mask(g.adj, (1 << g.n) - 1)):
+            raise ValueError(f"n, m, is_forest {r.n, r.m, r.is_forest} do not fit graph6 {r.graph6!r}")
+        return r
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(ParameterReport))
@@ -147,9 +153,9 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
         yield g
 
 
-def _isomorphism_classes(n: int, connected_only: bool = False) -> Iterator[tuple[Graph, int]]:
-    """Each graph of ``enumerate_small_graphs(n, connected_only)`` with the
-    index of its isomorphism class.
+def _isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
+    """Each graph of ``enumerate_small_graphs(n)``, whose position there is its
+    edge mask over ``pairs``, with the index of its isomorphism class.
 
     Classes are numbered 0, 1, ... in order of first appearance, so a class
     is new exactly when its index equals the number of classes met so far.
@@ -157,30 +163,21 @@ def _isomorphism_classes(n: int, connected_only: bool = False) -> Iterator[tuple
     in a table with one 2-byte entry per labeled graph (64 KB at n = 6, 4 MB
     at n = 7; freed when the generator ends), by a stack walk under the
     adjacent transpositions (v v+1), which generate all relabelings.  Each
-    transposition maps an edge mask through three 256-entry tables, one per
-    mask byte, which cover the 21 edge bits of n = ENUMERATION_MAX_N.
+    transposition maps an edge mask through three tables, one per mask byte,
+    with 2^b entries for the b edge bits in that byte (21 bits at n = 7).
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
     moves = []
     for v in range(n - 1):
         swap = {v: v + 1, v + 1: v}
-        image = [bit[tuple(sorted((swap.get(a, a), swap.get(b, b))))] for a, b in pairs]
-        image += [0] * (24 - len(image))
-        luts = []
-        for base in (0, 8, 16):
-            lut = [0] * 256
-            for byte in range(1, 256):
-                low = byte & -byte
-                lut[byte] = lut[byte ^ low] | image[base + low.bit_length() - 1]
-            luts.append(lut)
+        image = [1 << pairs.index(tuple(sorted((swap.get(a, a), swap.get(b, b))))) for a, b in pairs]
+        luts = [[0], [0], [0]]  # one per mask byte; edge bit k doubles byte k // 8's table
+        for k, b in enumerate(image):
+            luts[k // 8] += [x | b for x in luts[k // 8]]
         moves.append(luts)
     table = array("H", bytes(2 << len(pairs)))  # 0 = unseen, else class index + 1
     classes = 0
-    for g in enumerate_small_graphs(n, connected_only):
-        mask = 0
-        for e in g.edges:
-            mask |= bit[e]
+    for mask, g in enumerate(enumerate_small_graphs(n)):
         if not table[mask]:
             classes += 1
             table[mask] = classes
@@ -285,17 +282,19 @@ def verify_chain_corpus(
     Each isomorphism class is computed once, on its first labeled member;
     only a class with a violation is recomputed on each of its members, so
     every record carries that labeled graph's own graph6 and values.
-    max_n = 7 (2^21 labeled graphs, 1044 classes) is allowed only with
-    ``long_run``.
+    ``connected_only`` is decided on the first member too, and drops a
+    disconnected class whole.  max_n = 7 (2^21 labeled graphs, 1044
+    classes) is allowed only with ``long_run``.
     """
     if max_n > ENUMERATION_MAX_N or (max_n > 6 and not long_run):
         raise ValueError("max_n <= 6 unless long_run is set (then <= 7)")
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?
-        for g, c in _isomorphism_classes(n, connected_only):
+        for g, c in _isomorphism_classes(n):
             if c == len(failing):
-                hits = check_chain(_light_report(g))
+                skip = connected_only and len(_component_masks(g.adj, (1 << n) - 1)) != 1
+                hits = [] if skip else check_chain(_light_report(g))
                 failing.append(bool(hits))
                 violations.extend(hits)
             elif failing[c]:

@@ -112,6 +112,39 @@ class TestVerifyChain:
         assert code == 0
         assert "no violations" in out
 
+    @staticmethod
+    def inject_fault(monkeypatch, degree):
+        # t_plus one too low on every 4-vertex graph whose vertices all have
+        # this degree: 2 gives the 4-cycles, 1 the disconnected matchings 2K2
+        real = reports._t_values
+
+        def faulty(adj, n):
+            tm, tp = real(adj, n)
+            if n == 4 and all(a.bit_count() == degree for a in adj):
+                tp -= 1
+            return tm, tp
+
+        monkeypatch.setattr(reports, "_t_values", faulty)
+
+    @pytest.mark.parametrize("flags", [(), ("--connected-only",)])
+    def test_violations_exit_one_with_one_line_each(self, capsys, monkeypatch, flags):
+        self.inject_fault(monkeypatch, 2)
+        lines = [f"{v['graph6']}: {v['check']} fails with values {v['values']}"
+                 for v in mb.verify_chain_corpus(4)]
+        assert len(lines) == 6  # z <= t_plus and p_bruteforce <= t_plus on each labeled 4-cycle
+        code, out, _ = run(capsys, "verify-chain", "--max-n", "4", *flags)
+        assert code == 1
+        assert out.splitlines() == lines + ["6 violation(s)"]
+
+    def test_connected_only_drops_a_disconnected_class(self, capsys, monkeypatch):
+        self.inject_fault(monkeypatch, 1)
+        code, out, _ = run(capsys, "verify-chain", "--max-n", "4")
+        assert code == 1
+        assert out.splitlines()[-1] == "6 violation(s)"
+        code, out, _ = run(capsys, "verify-chain", "--max-n", "4", "--connected-only")
+        assert code == 0
+        assert out == "no violations for n <= 4\n"
+
     def test_guard_rejects_seven_without_long_run(self, capsys):
         code, _, err = run(capsys, "verify-chain", "--max-n", "7")
         assert code == 2

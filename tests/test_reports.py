@@ -225,6 +225,25 @@ class TestVerifyChainCorpus:
         assert mb.verify_chain_corpus(5) == []
         assert len(calls) == 1 + 2 + 4 + 11 + 34
 
+    def test_connected_only_decided_once_per_class(self, monkeypatch):
+        real_report, real_components = reports._light_report, reports._component_masks
+        reports_made, components_found = [], []
+
+        def counted_report(g):
+            reports_made.append(g)
+            return real_report(g)
+
+        def counted_components(adj, mask):
+            components_found.append(adj)
+            return real_components(adj, mask)
+
+        monkeypatch.setattr(reports, "_light_report", counted_report)
+        monkeypatch.setattr(reports, "_component_masks", counted_components)
+        assert mb.verify_chain_corpus(5, connected_only=True) == []
+        # one connectivity test per class, one report per connected class
+        assert len(components_found) == 1 + 2 + 4 + 11 + 34
+        assert len(reports_made) == 1 + 1 + 2 + 6 + 21
+
     def test_class_fault_reported_per_labeled_member(self, monkeypatch):
         # t_plus one too low on every 4-cycle, a fault shared by the class
         real = reports._t_values
@@ -421,6 +440,28 @@ class TestSerialization:
         row[lines[0].split(",").index("witness_z")] = cell
         text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
         with pytest.raises(ValueError, match="row 1 is malformed.*strictly increasing vertices in 0..2"):
+            mb.load_reports_csv(io.StringIO(text))
+
+    # P3's record with one value that its graph6 contradicts
+    BAD_VALUES = [("n", 7, "n, m, is_forest"), ("m", 99, "n, m, is_forest"),
+                  ("is_forest", False, "n, m, is_forest"), ("graph6", "zzz", "Graph6Error")]
+
+    @pytest.mark.parametrize("key,value,match", BAD_VALUES, ids=[key for key, _, _ in BAD_VALUES])
+    def test_json_value_contradicting_the_graph6_rejected(self, key, value, match):
+        good = mb.compute_report(mb.path_graph(3)).to_dict()
+        data = [good, dict(good, **{key: value})]
+        with pytest.raises(ValueError, match=f"record 1 is malformed.*{match}"):
+            mb.load_reports_json(io.StringIO(json.dumps(data)))
+
+    @pytest.mark.parametrize("key,value,match", BAD_VALUES, ids=[key for key, _, _ in BAD_VALUES])
+    def test_csv_value_contradicting_the_graph6_rejected(self, key, value, match):
+        buf = io.StringIO()
+        mb.emit_report([mb.compute_report(mb.path_graph(3))] * 2, format="csv", destination=buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(key)] = value if key == "graph6" else json.dumps(value)
+        text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match=f"row 1 is malformed.*{match}"):
             mb.load_reports_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("record", [[1], "witnesses"])
