@@ -13,7 +13,7 @@ let the numerics override those.
 
 The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
-rules hold wherever an argument is taken or loaded: 0 <= r <= n, tol
+rules hold wherever an argument is taken or loaded: r an int in 0..n, tol
 non-negative and finite, delta positive and finite.  A breach raises
 CertificateError, and verify_certificate returns False.
 """
@@ -84,8 +84,8 @@ class CertificateConflict(CertificateError):
 
 
 def _check_rank(r: int, n: int) -> None:
-    if not 0 <= r <= n:
-        raise CertificateError(f"rank target {r} outside 0..{n}")
+    if type(r) is not int or not 0 <= r <= n:
+        raise CertificateError(f"rank target {r!r} is not an int in 0..{n}")
 
 
 def _check_tol(tol: float) -> None:

@@ -244,6 +244,15 @@ def classify(g: Graph) -> ForestDecomposition:
     return _decomposition_of_mask(g.adj, (1 << g.n) - 1)
 
 
+def _isolate(g: Graph, s) -> Graph:
+    """G - S on g's own vertex set: each vertex of ``s`` is left isolated."""
+    s = frozenset(s)
+    for v in s:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return Graph(g.n, frozenset(e for e in g.edges if e[0] not in s and e[1] not in s))
+
+
 def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on V minus ``s``, plus the label map back to ``g``.
 
@@ -251,13 +260,9 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     subgraph's vertex i; the map is the order-preserving bijection.
     """
     s = frozenset(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
     labels = tuple(v for v in range(g.n) if v not in s)
     index = {v: i for i, v in enumerate(labels)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u not in s and v not in s]
-    return Graph.from_edges(len(labels), edges), labels
+    return Graph.from_edges(len(labels), [(index[u], index[v]) for u, v in _isolate(g, s).edges]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +457,11 @@ def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
     Kinds: path, cycle, star, wheel, sun, complete (all take ``n``);
     genstar (generalized_star; extras: legs, leg_length; ``n`` ignored);
     unicyclic (unicyclic_family; extras: path_length defaulting to ``n``,
-    chord_path_length defaulting to 2); fig1, fig3, fig4 (fixed graphs).
+    chord_path_length defaulting to 2); fig1, fig3, fig4 (fixed, no extras).
     """
+    if extra and (kind in _PARAMETRIC_KINDS or kind in _FIXED_EXAMPLES):
+        raise FamilyError(f"kind {kind!r} takes no extra parameters")
     if kind in _PARAMETRIC_KINDS:
-        if extra:
-            raise FamilyError(f"kind {kind!r} takes no extra parameters")
         if n is None:
             raise FamilyError(f"kind {kind!r} needs n")
         return _PARAMETRIC_KINDS[kind](n)

@@ -52,9 +52,9 @@ from .core import (
     _edge_count,
     _independence_number,
     _is_forest_mask,
+    _isolate,
     _mask_of,
     _path_count,
-    delete_vertices,
 )
 from .pathcover import _forest_cover, min_path_cover
 
@@ -334,15 +334,12 @@ def delta(g: Graph) -> DeletionWitness:
 
 def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
     """The delta witness, upgraded from g's t_minus witness ``base``."""
-    forest, labels = delete_vertices(g, base.s)
-    cover = min_path_cover(forest)
-    s = set(base.s)
-    s.update(labels[j] for j in cover.junctions)
+    s = base.s | min_path_cover(_isolate(g, base.s)).junctions
     rest = (1 << g.n) - 1 & ~_mask_of(s)
     deco = _decomposition_of_mask(g.adj, rest)
     assert deco.is_linear_forest
     assert deco.p - len(s) == base.value
-    return DeletionWitness("delta", frozenset(s), base.value, deco, deco.p)
+    return DeletionWitness("delta", s, base.value, deco, deco.p)
 
 
 def delta_plus(g: Graph) -> DeletionWitness:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _component_masks, _mask_of, delete_vertices
+from .core import Graph, _bits, _component_masks, _isolate, _mask_of
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -194,32 +194,30 @@ def _z_value(adj, n: int) -> int:
 
 
 def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:
-    """Build a forcing set from a t_plus witness: one endpoint per cover path
-    of the leftover forest, plus the deleted set itself.
+    """A forcing set from a t_plus witness S, with no search: the lower end
+    min(p[0], p[-1]) of each path p of the minimum path cover of G - S on
+    g's own vertex set (core._isolate), where each vertex of S is a
+    one-vertex path.  It holds S and has P(G - S) + |S| = t_plus vertices.
 
-    Tries the lowest-label endpoint of every path first; if that set fails
-    to force, searches the other endpoint orientations.  Some orientation
-    always works, so exhausting them signals a soundness bug and raises.
-    The result has size <= the t_plus value.
+    It forces G by this lemma: for any path cover C of a forest F, any set B
+    holding one end of each path of C forces F.  By induction on |C|.
+    Contracting each path of C to a point leaves a forest (two paths joined
+    by two edges would close a cycle), so some path p meets the rest R of F
+    by at most one edge, xy with x in p; and p has no chord, which would
+    close a cycle too.  So B's end of p forces along p until x is colored
+    (all of p if there is no edge xy).  R then forces as it would on its
+    own, by induction: y is R's only vertex with a neighbour outside R, and
+    that neighbour x is already colored.  Once R is colored, x finishes p.
+
+    In G, S is colored from the start, so an edge into S never blocks a
+    force, and the forces of F = G - S (S isolated) run in G as well.  The
+    closure check below is a soundness check.
     """
     if w.parameter != "t_plus":
         raise ForcingError(f"witness is for {w.parameter!r}, need t_plus")
     if not w.decomposition.is_forest:
         raise ForcingError("witness deletion does not leave a forest")
-    forest, labels = delete_vertices(g, w.s)
-    cover = min_path_cover(forest)
-    endpoint_pairs = []
-    for path in cover.paths:
-        a, b = labels[path[0]], labels[path[-1]]
-        endpoint_pairs.append((min(a, b), max(a, b)) if a != b else (a, a))
-    full = (1 << g.n) - 1
-    base = _mask_of(w.s)
-    for pick in itertools.product((0, 1), repeat=len(endpoint_pairs)):
-        chosen = base
-        for (lo, hi), side in zip(endpoint_pairs, pick):
-            chosen |= 1 << (hi if side else lo)
-        if _closure_mask(g.adj, chosen) == full:
-            return frozenset(_bits(chosen))
-    raise ForcingError(
-        "no endpoint orientation forces the graph; the path-cover construction is unsound"
-    )
+    chosen = _mask_of(min(p[0], p[-1]) for p in min_path_cover(_isolate(g, w.s)).paths)
+    if _closure_mask(g.adj, chosen) != (1 << g.n) - 1:
+        raise ForcingError("the path ends do not force the graph; the path-cover construction is unsound")
+    return frozenset(_bits(chosen))

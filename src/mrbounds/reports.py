@@ -232,11 +232,10 @@ def _report(g: Graph, tm: int, d: int, z: int, tp: int, dp: int, **rest) -> Para
     ``not check_chain(r)``.  check_chain tests the chain t_minus = delta <=
     z <= t_plus <= delta_plus <= n and, when p_bruteforce is present, also
     P_ind <= t_plus.  That extra test never fails on true values, so it
-    changes no verdict: let S be a t_plus deletion set.  Each path of a
-    minimum path cover of the forest G - S is an induced path of G, as an
-    edge of G between two of its vertices would close a cycle in G - S.
-    Those P(G - S) paths and the |S| vertices of S as one-vertex paths
-    partition V(G) into P(G - S) + |S| = t_plus induced paths.
+    changes no verdict: for a t_plus deletion set S, the cover in the lemma
+    of forcing.forcing_set_from_tplus splits V(G) into t_plus paths of the
+    forest G - S with S isolated, none with a chord (as the lemma's proof
+    notes), so into t_plus induced paths of G.
     """
     p = induced_path_cover_bruteforce(g).size if g.n <= BRUTE_INDUCED_COVER_MAX_N else None
     r = ParameterReport(graph6=g.graph6(), n=g.n, m=g.m, is_forest=_is_forest_mask(g.adj, (1 << g.n) - 1),
@@ -284,10 +283,10 @@ def verify_chain_corpus(
     every record carries that labeled graph's own graph6 and values.
     ``connected_only`` is decided on the first member too, and drops a
     disconnected class whole.  max_n = 7 (2^21 labeled graphs, 1044
-    classes) is allowed only with ``long_run``.
+    classes) is allowed only with ``long_run``; max_n < 1 raises ValueError.
     """
-    if max_n > ENUMERATION_MAX_N or (max_n > 6 and not long_run):
-        raise ValueError("max_n <= 6 unless long_run is set (then <= 7)")
+    if not 1 <= max_n <= (ENUMERATION_MAX_N if long_run else 6):
+        raise ValueError("need 1 <= max_n <= 6, or <= 7 with long_run")
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?
@@ -322,10 +321,10 @@ def survey_open_questions(max_n: int) -> dict:
     equality holds and where it is strict, with counts.  These are lists,
     not characterizations.  Every labeled graph is listed, but the values
     are computed once per isomorphism class.  Place any other graph with
-    compute_report.
+    compute_report.  max_n must lie in 1..6.
     """
-    if max_n > 6:
-        raise ValueError("survey capped at max_n <= 6")
+    if not 1 <= max_n <= 6:
+        raise ValueError("survey needs 1 <= max_n <= 6")
     lists = {name: ([], []) for name in _SURVEY_CLASSES}  # (equal, strict)
     for n in range(1, max_n + 1):
         class_flags: list[list[bool]] = []

@@ -70,6 +70,8 @@ class TestSampleAndProjectPattern:
         asym = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(mb.CertificateError):
             mb.PatternMatrix(asym, g, 0.1).validate()
+        with pytest.raises(mb.CertificateError, match="shape"):
+            mb.PatternMatrix(np.eye(2), g, 0.1).validate()
 
 
 class TestProjectRank:
@@ -109,6 +111,11 @@ class TestProjectRank:
             mb.project_rank(np.eye(3), 4)
         with pytest.raises(mb.CertificateError):
             mb.project_rank(np.eye(3), -1)
+
+    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    def test_non_int_rank_rejected(self, r):
+        with pytest.raises(mb.CertificateError, match="not an int"):
+            mb.project_rank(np.eye(3), r)
 
 
 class TestCertificateSearch:
@@ -175,6 +182,11 @@ class TestCertificateSearch:
         with pytest.raises(mb.CertificateError):
             mb.certificate_search(g, 1, restarts=0)
 
+    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    def test_non_int_rank_rejected(self, r):
+        with pytest.raises(mb.CertificateError, match="not an int"):
+            mb.certificate_search(mb.path_graph(3), r)
+
     @pytest.mark.parametrize("key,value", [
         ("tol", float("nan")),
         ("tol", -1.0),
@@ -220,6 +232,13 @@ class TestVerifyCertificate:
         c = mb.certificate_search(g, r)
         assert mb.verify_certificate(c)
         forged = mb.RankCertificate(c.matrix, c.r, c.sigma, tol, True, c.iterations)
+        assert not mb.verify_certificate(forged)
+
+    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    def test_non_int_rank_never_verifies(self, r):
+        c = mb.certificate_search(mb.path_graph(3), 2)
+        assert mb.verify_certificate(c)
+        forged = mb.RankCertificate(c.matrix, r, c.sigma, c.tol, True, c.iterations)
         assert not mb.verify_certificate(forged)
 
     def test_residual(self):
@@ -343,6 +362,10 @@ class TestSerialization:
             d[key] = value
         with pytest.raises(mb.CertificateError, match=key):
             mb.certificate_from_json(json.dumps(d))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(mb.CertificateError, match="not an object"):
+            mb.certificate_from_json("[]")
 
     def test_mismatched_n_rejected(self):
         import json

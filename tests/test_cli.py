@@ -46,6 +46,12 @@ class TestFamily:
         assert code == 2
         assert "error" in err
 
+    def test_fixed_example_rejects_extra(self, capsys):
+        code, out, err = run(capsys, "family", "--kind", "fig1", "--extra", "legs=3")
+        assert code == 2
+        assert out == ""
+        assert "takes no extra parameters" in err
+
     def test_unknown_extra_key(self, capsys):
         code, _, err = run(capsys, "family", "--kind", "path", "--n", "3",
                            "--extra", "bogus=1")
@@ -150,6 +156,12 @@ class TestVerifyChain:
         assert code == 2
         assert "error" in err
 
+    def test_max_n_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-chain", "--max-n", "-1")
+        assert code == 2
+        assert out == ""
+        assert "1 <= max_n" in err
+
 
 class TestSurvey:
     def test_summary_and_out(self, capsys, tmp_path):
@@ -160,6 +172,13 @@ class TestSurvey:
         data = json.loads(dst.read_text())
         assert data["max_n"] == 4
         assert data["classes"]["t_minus_eq_t_plus"]["equal_count"] == 48
+
+
+    def test_max_n_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "survey", "--max-n", "0")
+        assert code == 2
+        assert out == ""
+        assert "1 <= max_n" in err
 
 
 class TestCertify:

@@ -6,7 +6,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.core import Graph6Error, FamilyError, _independence_number
+from mrbounds.core import Graph6Error, FamilyError, _independence_number, _isolate
 from conftest import class_representatives, random_graph
 
 FIG1 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5)])
@@ -26,6 +26,8 @@ class TestGraph:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph(2, frozenset({(1, 0)}))  # unsorted pair
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph(-1, frozenset())
 
     def test_adjacency_masks(self):
         g = FIG1
@@ -91,6 +93,20 @@ def brute_alpha(g):
     return best
 
 
+class TestIsolate:
+    def test_keeps_labels_and_isolates_s(self):
+        g = _isolate(FIG1, {1, 3})
+        assert g.n == FIG1.n
+        assert g.edges == frozenset()  # every edge of FIG1 meets 1 or 3
+        g = _isolate(FIG1, {5})
+        assert g.edges == FIG1.edges - {(1, 5), (3, 5)}
+        assert mb.classify(g).components == ((0, 1, 2, 3, 4), (5,))
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            _isolate(FIG1, {6})
+
+
 class TestIndependenceNumber:
     @pytest.mark.parametrize("source", ["classes_n_le_6", "random_n_le_12"])
     def test_matches_brute_force(self, source):
@@ -152,6 +168,9 @@ class TestGraph6:
             mb.parse_graph6(b"B\x20")
         with pytest.raises(Graph6Error):
             mb.parse_graph6("")
+        with pytest.raises(Graph6Error, match="vertex-count byte 61") as exc:
+            mb.parse_graph6("=")
+        assert exc.value.offset == 0
 
     def test_emit_cap(self):
         with pytest.raises(Graph6Error):
@@ -223,6 +242,17 @@ class TestFamilies:
             mb.generate_family("genstar", legs=0)
         with pytest.raises(FamilyError):
             mb.generate_family("unicyclic", 4)
+        for kind, n, extra in [("path", -1, {}), ("star", 1, {}), ("complete", -1, {}), ("sun", 2, {}),
+                               ("unicyclic", 5, {"chord_path_length": 1}),
+                               ("genstar", None, {"bogus": 1}), ("unicyclic", None, {"bogus": 1})]:
+            with pytest.raises(FamilyError):
+                mb.generate_family(kind, n, **extra)
         for alias in ("generalized_star", "unicyclic_family"):  # one name per kind
             with pytest.raises(FamilyError):
                 mb.generate_family(alias)
+
+    @pytest.mark.parametrize("kind", ["fig1", "fig3", "fig4"])
+    def test_fixed_kinds_take_no_extra_parameters(self, kind):
+        assert mb.generate_family(kind, 6) == mb.generate_family(kind)  # n is ignored
+        with pytest.raises(FamilyError, match="takes no extra parameters"):
+            mb.generate_family(kind, legs=3)

@@ -7,7 +7,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds.forcing import _z_value
-from conftest import class_representatives, random_graph
+from conftest import class_representatives, random_graph, random_tree
 
 FIG4 = mb.generate_family("fig4")
 
@@ -214,3 +214,36 @@ class TestForcingSetFromTplus:
         w = mb.t_minus(g)
         with pytest.raises(mb.ForcingError):
             mb.forcing_set_from_tplus(g, w)
+
+    @pytest.mark.parametrize("s,error", [
+        ({9}, ValueError),  # out of range for n = 5
+        ({0}, mb.PathCoverError),  # leaves the cycle 1-2-3-4 while claiming a forest
+    ], ids=["out-of-range", "cyclic"])
+    def test_malformed_witness_keeps_its_error(self, s, error):
+        g = mb.wheel_graph(5)
+        w = mb.t_plus(g)
+        with pytest.raises(error) as exc:
+            mb.forcing_set_from_tplus(g, mb.DeletionWitness("t_plus", frozenset(s), w.value, w.decomposition, 1))
+        assert exc.type is error  # not a ForcingError, which is a ValueError too
+
+
+class TestPathCoverEndLemma:
+    """Any set holding one end of each path of a path cover of a forest
+    forces the forest (the lemma in forcing_set_from_tplus's docstring)."""
+
+    ALL_CHOICES_MAX_PATHS = 10
+    SAMPLED_CHOICES = 64
+
+    def test_every_end_choice_forces(self, rng):
+        for n in range(1, 41):
+            for _ in range(3):
+                tree = random_tree(n, rng)
+                g = mb.Graph.from_edges(n, [e for e in tree.edges if rng.random() < 0.8])
+                ends = [(p[0], p[-1]) for p in mb.min_path_cover(g).paths]
+                if len(ends) <= self.ALL_CHOICES_MAX_PATHS:
+                    choices = itertools.product((0, 1), repeat=len(ends))
+                else:
+                    choices = ([rng.randrange(2) for _ in ends] for _ in range(self.SAMPLED_CHOICES))
+                for pick in choices:
+                    b = {pair[side] for pair, side in zip(ends, pick)}
+                    assert mb.forcing_closure(g, b).forces_all(n), (g.edges, b)

@@ -276,6 +276,12 @@ class TestVerifyChainCorpus:
         with pytest.raises(ValueError):
             mb.verify_chain_corpus(8, long_run=True)
 
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_rejected(self, max_n):
+        for long_run in (False, True):
+            with pytest.raises(ValueError, match="1 <= max_n"):
+                mb.verify_chain_corpus(max_n, long_run=long_run)
+
 
 class TestSurvey:
     def test_counts_n_le_4(self):
@@ -304,6 +310,11 @@ class TestSurvey:
         with pytest.raises(ValueError):
             mb.survey_open_questions(7)
 
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_max_n_below_one_rejected(self, max_n):
+        with pytest.raises(ValueError, match="1 <= max_n"):
+            mb.survey_open_questions(max_n)
+
 
 class TestSerialization:
     def reports(self):
@@ -311,6 +322,7 @@ class TestSerialization:
             mb.compute_report(mb.generate_family("fig1")),
             mb.compute_report(mb.path_graph(4)),
             mb.compute_report(mb.wheel_graph(5), with_numeric=True),
+            reports._light_report(mb.cycle_graph(4)),  # no witnesses: empty cells
         ]
 
     def test_json_round_trip(self):
@@ -348,6 +360,8 @@ class TestSerialization:
         assert text.startswith(mb.REPORT_CSV_HEADER + "\n")
         back = mb.load_reports_csv(io.StringIO(text))
         assert back == reps
+        lines = text.splitlines()  # a blank line is skipped
+        assert mb.load_reports_csv(io.StringIO("\n".join(lines[:2] + [""] + lines[2:]) + "\n")) == reps
 
     def test_file_destinations(self, tmp_path):
         reps = self.reports()[:1]
