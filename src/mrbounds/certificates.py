@@ -532,11 +532,11 @@ _CERTIFICATE_TYPES = {"n": (int,), "graph6": (str,), "r": (int,), "entries": (li
 
 def certificate_from_json(text: str) -> RankCertificate:
     """Inverse of certificate_to_json.  A missing key, a value whose JSON
-    type does not match the field, ``entries`` that are not n^2 numbers,
-    ``sigma`` that is not n values, an ``r``, ``tol`` or ``delta`` that
-    breaks the argument rules, a ``sigma`` that holds a negative or
-    non-finite value or is not non-increasing, or a negative ``iterations``
-    raises CertificateError."""
+    type does not match the field, ``entries`` that are not n^2 finite
+    numbers (json reads Infinity and NaN), ``sigma`` that is not n values,
+    an ``r``, ``tol`` or ``delta`` that breaks the argument rules, a
+    ``sigma`` that holds a negative or non-finite value or is not
+    non-increasing, or a negative ``iterations`` raises CertificateError."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise CertificateError("certificate JSON is not an object")
@@ -562,6 +562,8 @@ def certificate_from_json(text: str) -> RankCertificate:
     if d["iterations"] < 0:
         raise CertificateError(f"certificate iterations={d['iterations']} is negative")
     entries = np.array(d["entries"], dtype=float).reshape(g.n, g.n)
+    if not np.isfinite(entries).all():
+        raise CertificateError("certificate entries must be finite")
     entries.setflags(write=False)
     matrix = PatternMatrix(entries, g, float(d["delta"]))
     return RankCertificate(

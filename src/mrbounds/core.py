@@ -298,9 +298,12 @@ def parse_graph6(text: bytes | str) -> Graph:
     """Decode one graph6 record, optionally prefixed by ">>graph6<<".
 
     Raises :class:`Graph6Error` naming the byte offset for malformed length,
-    bytes outside 63..126, and nonzero padding bits.  Trailing newlines are
-    tolerated.
+    bytes outside 63..126 (a non-ASCII character of a str among them), and
+    nonzero padding bits.  Trailing newlines are tolerated.
     """
+    if isinstance(text, str) and not text.isascii():
+        bad = next(i for i, c in enumerate(text) if not c.isascii())
+        raise Graph6Error(f"non-ASCII character {text[bad]!r}", offset=bad)
     data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     base = 0
     if data.startswith(GRAPH6_HEADER):

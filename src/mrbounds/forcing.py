@@ -211,13 +211,16 @@ def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:
 
     In G, S is colored from the start, so an edge into S never blocks a
     force, and the forces of F = G - S (S isolated) run in G as well.  The
-    closure check below is a soundness check.
+    closure check below is a soundness check.  A witness whose ``value`` is
+    not P(G - S) + |S| raises ForcingError.
     """
     if w.parameter != "t_plus":
         raise ForcingError(f"witness is for {w.parameter!r}, need t_plus")
     if not w.decomposition.is_forest:
         raise ForcingError("witness deletion does not leave a forest")
     chosen = _mask_of(min(p[0], p[-1]) for p in min_path_cover(_isolate(g, w.s)).paths)
+    if chosen.bit_count() != w.value:
+        raise ForcingError(f"{chosen.bit_count()} path ends, but the witness claims t_plus = {w.value}")
     if _closure_mask(g.adj, chosen) != (1 << g.n) - 1:
         raise ForcingError("the path ends do not force the graph; the path-cover construction is unsound")
     return frozenset(_bits(chosen))

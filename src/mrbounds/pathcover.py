@@ -1,8 +1,11 @@
 """Minimum vertex-disjoint induced path covers of forests.
 
 For a forest, an induced path cover and a plain path cover coincide, and a
-single greedy bottom-up pass per tree is exact.  Small brute-force variants
-are kept alongside as cross-check oracles for arbitrary graphs.
+single greedy leaves-first pass is exact.  It runs over one level BFS
+(_levels) with two consumers: _forest_cover counts the cover of an induced
+subforest for the deletion searches, and min_path_cover builds its paths
+and junctions.  Small brute-force variants are kept alongside as
+cross-check oracles for arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -10,13 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import (
-    Graph,
-    _bits,
-    _component_masks,
-    _edge_count,
-    _path_count,
-)
+from .core import Graph, _bits, _component_masks, _path_count
 
 __all__ = [
     "PathCover",
@@ -38,10 +35,11 @@ class PathCoverError(ValueError):
 class PathCover:
     """A partition of the vertices into vertex-disjoint paths.
 
-    ``paths`` lists each path as a vertex tuple in traversal order; isolated
-    vertices appear as length-1 tuples.  ``junctions`` records, for covers
-    produced by :func:`min_path_cover`, the vertices where two child arms
-    were merged; deleting them always leaves a linear forest.
+    ``paths`` lists the paths in ascending order of their least vertex, each
+    as a vertex tuple from one end to the other; isolated vertices appear as
+    length-1 tuples.  ``junctions`` records, for covers produced by
+    :func:`min_path_cover`, the vertices where two child arms were merged;
+    deleting them always leaves a linear forest.
     """
 
     paths: tuple[tuple[int, ...], ...]
@@ -66,87 +64,20 @@ def _validate_cover(g: Graph, cover: PathCover) -> None:
         raise PathCoverError("cover misses vertices")
 
 
-def _rooted(adj, comp: int) -> tuple[dict[int, int], list[int]]:
-    """Parent map and DFS preorder of the tree on ``comp``, rooted at its
-    lowest label (first in the order, parent -1).  Adjacency is intersected
-    with ``comp``, so ``adj`` may belong to a supergraph.
+def _levels(adj, mask: int) -> tuple[list[int], int]:
+    """Level BFS of G[mask], one per component from its lowest vertex.
+
+    Returns (levels, comps): levels[d] holds the vertices at depth d over
+    all components, and comps counts the components, so G[mask] is a forest
+    iff e(G[mask]) = |mask| - comps.  In a forest every edge joins adjacent
+    levels, so taken deepest level first, the vertices already seen next to
+    v are exactly its children: its parent lies one level up, and no edge
+    stays within a level.  That is the leaves-first order of the greedy
+    cover.  ``adj`` may belong to a supergraph: the BFS intersects it with
+    ``mask``.  The loop takes the lowest bit of a mask inline, as a _bits
+    generator per frontier costs more than the BFS itself on small masks.
     """
-    root = (comp & -comp).bit_length() - 1
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in _bits(adj[v] & comp):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
-    return parent, order
-
-
-def min_path_cover(g: Graph) -> PathCover:
-    """Exact minimum path cover of a forest, with junction bookkeeping.
-
-    Each tree is rooted at its smallest label and processed leaves-first.
-    A vertex with no extendable child starts a new open path; with one it
-    extends that path; with two or more it joins the two smallest-label
-    child paths through itself (becoming a junction) and the result is
-    closed.  Raises :class:`PathCoverError` on graphs with cycles.
-    """
-    adj = g.adj
-    full = (1 << g.n) - 1
-    paths: list[tuple[int, ...]] = []
-    junctions: set[int] = set()
-    for comp in _component_masks(adj, full):
-        nv = comp.bit_count()
-        if _edge_count(adj, comp) != nv - 1:
-            raise PathCoverError("graph has a cycle; minimum path cover needs a forest")
-        parent, order = _rooted(adj, comp)
-        # open[v]: the still-extendable path ending at v, built child-first
-        open_at: dict[int, list[int]] = {}
-        for v in reversed(order):
-            arms = sorted(w for w in _bits(adj[v]) if w != parent[v] and w in open_at)
-            if not arms:
-                open_at[v] = [v]
-            elif len(arms) == 1:
-                path = open_at.pop(arms[0])
-                path.append(v)
-                open_at[v] = path
-            else:
-                first = open_at.pop(arms[0])
-                second = open_at.pop(arms[1])
-                first.append(v)
-                first.extend(reversed(second))
-                paths.append(tuple(first))
-                junctions.add(v)
-                for w in arms[2:]:
-                    paths.append(tuple(open_at.pop(w)))
-        # each vertex took in all its open children, so only the root can be open
-        if order[0] in open_at:
-            paths.append(tuple(open_at.pop(order[0])))
-    cover = PathCover(tuple(paths), frozenset(junctions))
-    _validate_cover(g, cover)
-    return cover
-
-
-def _forest_cover(adj, mask: int, edges: int):
-    """Minimum path cover size of G[mask] if it is a forest, else None.
-
-    ``edges`` is e(G[mask]), which the caller already knows.  One bitmask
-    level BFS per component, from its lowest vertex, counts the components
-    c, and G[mask] is a forest iff edges = |mask| - c.  The cover count then
-    runs the greedy of min_path_cover over the BFS levels, deepest first,
-    with one mask of open path ends.  In a forest every edge joins adjacent
-    levels, so the open ends adjacent to v are exactly v's open children:
-    its parent lies one level up and is not yet processed, and no edge
-    stays within a level.  Every vertex is therefore seen after all its
-    children, as in the rooted greedy, and makes the same choice.
-    ``adj`` may belong to a supergraph: the BFS intersects it with ``mask``.
-    Both loops take the lowest bit of a mask inline, as a _bits generator
-    per frontier or level costs more than the count itself on small masks.
-    """
-    levels: list[int] = []  # levels[d]: the vertices at depth d, over all components
+    levels: list[int] = []
     comps = 0
     rest = mask
     while rest:
@@ -168,6 +99,61 @@ def _forest_cover(adj, mask: int, edges: int):
             rest ^= frontier
             depth += 1
         comps += 1
+    return levels, comps
+
+
+def min_path_cover(g: Graph) -> PathCover:
+    """Exact minimum path cover of a forest, with junction bookkeeping.
+
+    Runs the greedy over the levels of _levels, deepest first.  A vertex
+    with no open child path starts a new open path; with one it extends
+    that path; with two or more it joins the two smallest-label child paths
+    through itself (becoming a junction), the result is closed, and any
+    further child paths close as they are.  Raises :class:`PathCoverError`
+    on graphs with cycles.
+    """
+    adj = g.adj
+    levels, comps = _levels(adj, (1 << g.n) - 1)
+    if g.m != g.n - comps:
+        raise PathCoverError("graph has a cycle; minimum path cover needs a forest")
+    paths: list[tuple[int, ...]] = []
+    junctions: set[int] = set()
+    # open_at[v]: the still-extendable path ending at v, built child-first
+    open_at: dict[int, list[int]] = {}
+    for level in reversed(levels):
+        for v in _bits(level):
+            arms = [w for w in _bits(adj[v]) if w in open_at]
+            if not arms:
+                open_at[v] = [v]
+            elif len(arms) == 1:
+                path = open_at.pop(arms[0])
+                path.append(v)
+                open_at[v] = path
+            else:
+                first = open_at.pop(arms[0])
+                second = open_at.pop(arms[1])
+                first.append(v)
+                first.extend(reversed(second))
+                paths.append(tuple(first))
+                junctions.add(v)
+                for w in arms[2:]:
+                    paths.append(tuple(open_at.pop(w)))
+    # each vertex took in all its open children, so only roots are left open
+    paths.extend(map(tuple, open_at.values()))
+    cover = PathCover(tuple(sorted(paths, key=min)), frozenset(junctions))
+    _validate_cover(g, cover)
+    return cover
+
+
+def _forest_cover(adj, mask: int, edges: int):
+    """Minimum path cover size of G[mask] if it is a forest, else None.
+
+    ``edges`` is e(G[mask]), which the caller already knows.  Counts the
+    greedy of min_path_cover over the same levels, with one mask of open
+    path ends in place of the paths.  ``adj`` may belong to a supergraph.
+    The loop takes the lowest bit of a level inline, as _levels does.
+    """
+    levels, comps = _levels(adj, mask)
     if edges != mask.bit_count() - comps:
         return None
     count = 0
@@ -289,4 +275,4 @@ def induced_path_cover_bruteforce(g: Graph) -> PathCover:
     while s:
         paths.append(induced[choice[s]])
         s &= ~choice[s]
-    return PathCover(tuple(reversed(paths)))
+    return PathCover(tuple(paths))

@@ -351,6 +351,9 @@ class TestSerialization:
         ("sigma", [float("inf"), 1.0, 0.0]),
         ("sigma", [1.0, 2.0, 0.0]),
         ("iterations", -1),
+        # an edge entry that json writes as Infinity or NaN, and reads back
+        ("entries", [1.0, float("inf"), 0.0, float("inf"), 1.0, 1.0, 0.0, 1.0, 1.0]),
+        ("entries", [1.0, float("nan"), 0.0, float("nan"), 1.0, 1.0, 0.0, 1.0, 1.0]),
     ])
     def test_mistyped_field_rejected(self, key, value):
         import json

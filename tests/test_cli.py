@@ -231,6 +231,12 @@ class TestZf:
         assert "Z = 2" in out
         assert "witness: 0 3" in out
 
+    def test_non_ascii_graph6(self, capsys):
+        code, out, err = run(capsys, "zf", "--graph6", "Dh\u00e9")
+        assert code == 2
+        assert out == ""
+        assert "non-ASCII character" in err and "byte offset 2" in err
+
 
 class TestParser:
     def test_missing_subcommand(self, capsys):

@@ -172,6 +172,12 @@ class TestGraph6:
             mb.parse_graph6("=")
         assert exc.value.offset == 0
 
+    def test_non_ascii_text(self):
+        for text, offset in (("Dh\u00e9", 2), ("\u00e9", 0), (">>graph6<<B\u20ac", 11)):
+            with pytest.raises(Graph6Error, match="non-ASCII character") as exc:
+                mb.parse_graph6(text)
+            assert exc.value.offset == offset
+
     def test_emit_cap(self):
         with pytest.raises(Graph6Error):
             mb.emit_graph6(Graph.from_edges(63))

@@ -226,6 +226,13 @@ class TestForcingSetFromTplus:
             mb.forcing_set_from_tplus(g, mb.DeletionWitness("t_plus", frozenset(s), w.value, w.decomposition, 1))
         assert exc.type is error  # not a ForcingError, which is a ValueError too
 
+    def test_witness_value_is_checked(self):
+        # on P4, S = {1, 2} leaves P(G - S) + |S| = 4, not the claimed 1
+        g = mb.path_graph(4)
+        w = mb.DeletionWitness("t_plus", frozenset({1, 2}), 1, mb.t_plus(g).decomposition, 1)
+        with pytest.raises(mb.ForcingError, match="claims t_plus = 1"):
+            mb.forcing_set_from_tplus(g, w)
+
 
 class TestPathCoverEndLemma:
     """Any set holding one end of each path of a path cover of a forest

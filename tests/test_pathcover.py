@@ -1,5 +1,7 @@
 """Greedy forest path covers against brute-force oracles."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import mrbounds as mb
 from mrbounds import Graph
 from mrbounds.core import _edge_count
-from mrbounds.pathcover import PathCoverError, _forest_cover
+from mrbounds.pathcover import BRUTE_PATH_COVER_MAX_N, PathCoverError, _forest_cover
 from conftest import all_labeled_trees, random_graph, random_tree
 
 
@@ -34,6 +36,23 @@ class TestMinPathCover:
         assert cover.size == 4
         assert cover.junctions == frozenset({0})
         cover_is_valid(mb.star_graph(6), cover)
+
+    def test_paths_ascend_by_least_vertex(self, rng):
+        assert mb.min_path_cover(mb.star_graph(6)).paths == ((1, 0, 2), (3,), (4,), (5,))
+        # the leftover paths of demo 04: fig4 less its t_plus deletion set
+        fig4 = mb.generate_family("fig4")
+        sub, _ = mb.delete_vertices(fig4, mb.t_plus(fig4).s)
+        assert mb.min_path_cover(sub).paths == ((0,), (5, 1), (2, 3, 4, 6))
+        for _ in range(30):
+            forest = random_forest(rng)
+            g = random_graph(7, 0.3, rng)
+            for cover in (
+                mb.min_path_cover(forest),
+                mb.path_cover_bruteforce(g),
+                mb.induced_path_cover_bruteforce(g),
+            ):
+                least = [min(p) for p in cover.paths]
+                assert least == sorted(least)
 
     def test_h_tree(self):
         g = mb.generate_family("fig3")
@@ -77,14 +96,52 @@ class TestMinPathCover:
                 assert deco.p == cover.size + len(cover.junctions)
 
 
-def random_forest(rng):
-    """A forest on up to 40 vertices with shuffled labels: a random tree
-    with some edges cut."""
-    n = rng.randint(1, 40)
+def random_forest(rng, max_n=40):
+    """A forest on up to ``max_n`` vertices with shuffled labels: a random
+    tree with some edges cut."""
+    n = rng.randint(1, max_n)
     labels = list(range(n))
     rng.shuffle(labels)
     tree = random_tree(n, rng)
     return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in tree.edges if rng.random() < 0.8])
+
+
+def labeled_forests(n):
+    """Every labeled forest on n vertices: the edge subsets of at most
+    n - 1 edges that close no cycle."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for k in range(max(n, 1)):
+        for edges in itertools.combinations(pairs, k):
+            g = Graph.from_edges(n, edges)
+            if mb.classify(g).is_forest:
+                yield g
+
+
+# sha256 of (graph6, sorted(paths), sorted(junctions)) from min_path_cover
+# over pinned_forests(): each path's vertices and orientation and each
+# junction set are pinned, the order of PathCover.paths is not.  Taken from
+# the DFS-rooted greedy that preceded the shared level BFS, so the digest
+# checks that the two make the same choices.
+PATHS_JUNCTIONS_SHA256 = "d907c7c90d581d1eb671ad755acda4752614a632cb2e0669c705e63bd9329f5c"
+
+
+def pinned_forests():
+    """Every labeled forest with n <= 6 (3,272 of them, the empty graph
+    too), then 3,000 seeded random forests with shuffled labels and up to
+    30 vertices."""
+    for n in range(7):
+        yield from labeled_forests(n)
+    rng = random.Random(20261024)
+    for _ in range(3000):
+        yield random_forest(rng, 30)
+
+
+def test_paths_and_junctions_digest():
+    h = hashlib.sha256()
+    for g in pinned_forests():
+        cover = mb.min_path_cover(g)
+        h.update(repr((g.graph6(), sorted(cover.paths), sorted(cover.junctions))).encode())
+    assert h.hexdigest() == PATHS_JUNCTIONS_SHA256
 
 
 class TestForestCoverCount:
@@ -125,6 +182,26 @@ class TestForestCoverCount:
                     cyclic_seen += 1
                     assert _forest_cover(g.adj, mask, e) is None
         assert cyclic_seen > 100
+
+    # path_cover_bruteforce searches edge subsets and shares no traversal
+    # with the level greedy, unlike min_path_cover
+    def test_matches_bruteforce_on_random_forests(self):
+        rng = random.Random(20261025)
+        for _ in range(200):
+            g = random_forest(rng, BRUTE_PATH_COVER_MAX_N)
+            assert _forest_cover(g.adj, (1 << g.n) - 1, g.m) == mb.path_cover_bruteforce(g).size, g.graph6()
+
+    def test_matches_bruteforce_on_induced_masks(self):
+        rng = random.Random(20261026)
+        forests_seen = 0
+        for _ in range(12):
+            g = random_graph(rng.randint(4, BRUTE_PATH_COVER_MAX_N), 0.25, rng)
+            for mask in range(1 << g.n):
+                sub = mb.delete_vertices(g, [v for v in range(g.n) if not mask >> v & 1])[0]
+                if mb.classify(sub).is_forest:
+                    forests_seen += 1
+                    assert _forest_cover(g.adj, mask, sub.m) == mb.path_cover_bruteforce(sub).size
+        assert forests_seen > 5000
 
 
 class TestBruteforce:
