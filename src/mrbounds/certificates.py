@@ -15,14 +15,15 @@ The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
 rules hold wherever an argument is taken or loaded: r an int in 0..n, tol
 non-negative and finite, delta positive and finite.  A breach raises
-CertificateError, and verify_certificate returns False.
+CertificateError, and verify_certificate returns False.  certificate_search
+also takes its counts as ints, not bools: restarts >= 1 and max_iter >= 0.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +87,11 @@ class CertificateConflict(CertificateError):
 def _check_rank(r: int, n: int) -> None:
     if type(r) is not int or not 0 <= r <= n:
         raise CertificateError(f"rank target {r!r} is not an int in 0..{n}")
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise CertificateError(f"{name}={value!r} is not an int >= {least}")
 
 
 def _check_tol(tol: float) -> None:
@@ -359,8 +365,8 @@ def certificate_search(
     _check_rank(r, n)
     _check_tol(tol)
     _check_delta(delta)
-    if restarts < 1 or max_iter < 0:
-        raise CertificateError("need restarts >= 1 and max_iter >= 0")
+    _check_count("restarts", restarts, 1)
+    _check_count("max_iter", max_iter, 0)
     rows, cols = _edge_arrays(g)
     best_rel = np.inf
     best: tuple[np.ndarray, tuple[float, ...], int] | None = None
@@ -430,10 +436,11 @@ class MSandwich:
 
     Exact bounds: t_minus from below, z and t_plus from above.  The numeric
     lower bound comes from converged rank certificates and is a claim at the
-    search tolerance.  ``m_exact`` is set only when lower meets upper, so it
-    stays None whenever M < min(z, t_plus): no certificate can lift the
-    lower bound past M.  Odd suns from n = 5 up are examples: M = 2 for the
-    5-sun, below z = 3.
+    search tolerance.  ``m_exact`` is set only when ``lower`` meets
+    ``upper``, so it stays None whenever M < upper, however good the
+    certificates are: no certificate can lift the lower bound past M.  The
+    odd n-suns from n = 5 up are examples: M = max(2, n // 2) (the 5-sun:
+    M = 2 with z = 3), and no bound here closes them from above.
     """
 
     t_minus: int
@@ -463,17 +470,13 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     above t_minus; the first verified convergence sets numeric_lower.  Each
     target runs certificate_search at its default settings from ``seed``;
     call certificate_search directly for other settings.  The first target is
-    min(z, t_plus, n), so a numeric claim never exceeds the exact upper bound.
+    min(upper, n), so a numeric claim never exceeds the exact upper bound.
     Forest bounds that disagree are a contradiction and raise
     CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
     to the same sandwich instead of searching them again; here one deletion
-    walk gives t_minus, t_plus and delta_plus.
-
-    ``m_exact`` is set only when the lower bound meets min(z, t_plus).  When
-    M itself lies below min(z, t_plus) it stays None however good the
-    certificates are: the odd n-suns from n = 5 up have M = max(2, n // 2)
-    (the 5-sun: M = 2 with z = 3), and no bound here closes them from above.
+    walk gives t_minus, t_plus and delta_plus.  ``m_exact`` is set as
+    MSandwich says.
     """
     tm, tp, dp = (w.value for w in _search(g, ("t_minus", "t_plus", "delta_plus")))
     z, _ = zero_forcing_number(g)
@@ -483,25 +486,18 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
 def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = True,
               seed: int = 0) -> MSandwich:
     """m_sandwich on exact bound values already computed for g."""
-    upper = min(z, tp)
-    numeric_lower: int | None = None
-    if _is_forest_mask(g.adj, (1 << g.n) - 1):
-        if tm != upper:
-            raise CertificateConflict(
-                f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}"
-            )
-        m_exact: int | None = tm
-    elif tm == upper:
-        m_exact = tm
-    else:
+    s = MSandwich(tm, None, z, tp, dp, None)
+    if tm != s.upper:
+        # t_minus = z = t_plus on every forest, so only a gap can be a conflict
+        if _is_forest_mask(g.adj, (1 << g.n) - 1):
+            raise CertificateConflict(f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}")
         if numeric:
-            for k in range(min(upper, g.n), max(tm, 0), -1):
+            for k in range(min(s.upper, g.n), max(tm, 0), -1):
                 cert = certificate_search(g, g.n - k, seed=seed)
                 if cert.converged and verify_certificate(cert):
-                    numeric_lower = k
+                    s = replace(s, numeric_lower=k)
                     break
-        m_exact = upper if numeric_lower == upper else None
-    return MSandwich(tm, numeric_lower, z, tp, dp, m_exact)
+    return replace(s, m_exact=s.upper) if s.lower == s.upper else s
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +532,10 @@ def certificate_from_json(text: str) -> RankCertificate:
     numbers (json reads Infinity and NaN), ``sigma`` that is not n values,
     an ``r``, ``tol`` or ``delta`` that breaks the argument rules, a
     ``sigma`` that holds a negative or non-finite value or is not
-    non-increasing, or a negative ``iterations`` raises CertificateError."""
+    non-increasing, or a negative ``iterations`` raises CertificateError.
+    Every number in ``entries``, ``sigma``, ``tol`` and ``delta`` is read
+    as a float; a JSON integer too large for one raises CertificateError
+    too."""
     d = json.loads(text)
     if not isinstance(d, dict):
         raise CertificateError("certificate JSON is not an object")
@@ -553,27 +552,25 @@ def certificate_from_json(text: str) -> RankCertificate:
         raise CertificateError(f"certificate entries has {len(d['entries'])} numbers, need n^2 = {g.n * g.n}")
     if len(d["sigma"]) != g.n:
         raise CertificateError(f"certificate sigma has {len(d['sigma'])} values, need n = {g.n}")
+    floats = {}
+    for key in ("entries", "sigma", "tol", "delta"):
+        try:
+            floats[key] = np.array(d[key], dtype=float)
+        except OverflowError:
+            raise CertificateError(f"certificate {key} holds an integer too large for a float") from None
+    sigma, tol, delta = floats["sigma"].tolist(), float(floats["tol"]), float(floats["delta"])
     _check_rank(d["r"], g.n)
-    _check_tol(d["tol"])
-    _check_delta(d["delta"])
-    sigma = d["sigma"]
+    _check_tol(tol)
+    _check_delta(delta)
     if not all(0 <= x < math.inf for x in sigma) or any(a < b for a, b in zip(sigma, sigma[1:])):
         raise CertificateError(f"certificate sigma={sigma} is not non-negative, finite and non-increasing")
     if d["iterations"] < 0:
         raise CertificateError(f"certificate iterations={d['iterations']} is negative")
-    entries = np.array(d["entries"], dtype=float).reshape(g.n, g.n)
+    entries = floats["entries"].reshape(g.n, g.n)
     if not np.isfinite(entries).all():
         raise CertificateError("certificate entries must be finite")
     entries.setflags(write=False)
-    matrix = PatternMatrix(entries, g, float(d["delta"]))
-    return RankCertificate(
-        matrix,
-        d["r"],
-        tuple(float(x) for x in sigma),
-        float(d["tol"]),
-        d["converged"],
-        d["iterations"],
-    )
+    return RankCertificate(PatternMatrix(entries, g, delta), d["r"], tuple(sigma), tol, d["converged"], d["iterations"])
 
 
 def write_certificate(c: RankCertificate, path) -> None:

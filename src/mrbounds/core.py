@@ -244,12 +244,19 @@ def classify(g: Graph) -> ForestDecomposition:
     return _decomposition_of_mask(g.adj, (1 << g.n) - 1)
 
 
+def _vertex_set(g: Graph, vertices, error: type[ValueError] = ValueError) -> frozenset[int]:
+    """``vertices`` as a frozenset of g's vertices.  Each must be an int (a
+    bool is not) in 0..n-1; any other raises ``error``."""
+    s = frozenset(vertices)
+    for v in s:
+        if type(v) is not int or not 0 <= v < g.n:
+            raise error(f"vertex {v!r} is not an int in 0..{g.n - 1}")
+    return s
+
+
 def _isolate(g: Graph, s) -> Graph:
     """G - S on g's own vertex set: each vertex of ``s`` is left isolated."""
-    s = frozenset(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    s = _vertex_set(g, s)
     return Graph(g.n, frozenset(e for e in g.edges if e[0] not in s and e[1] not in s))
 
 
@@ -449,8 +456,15 @@ _PARAMETRIC_KINDS = {
     "complete": complete_graph,
 }
 
+# Kinds built from keyword parameters: (builder, its keyword names, the one
+# that n sets, if any).  A keyword left out takes the builder's default.
+_KEYWORD_KINDS = {
+    "genstar": (generalized_star, ("legs", "leg_length"), None),
+    "unicyclic": (unicyclic_family, ("path_length", "chord_path_length"), "path_length"),
+}
+
 # Every kind generate_family builds, in the order of the CLI's --kind choices.
-_FAMILY_KINDS = (*_PARAMETRIC_KINDS, "genstar", "unicyclic", *_FIXED_EXAMPLES)
+_FAMILY_KINDS = (*_PARAMETRIC_KINDS, *_KEYWORD_KINDS, *_FIXED_EXAMPLES)
 
 
 def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
@@ -460,7 +474,8 @@ def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
     Kinds: path, cycle, star, wheel, sun, complete (all take ``n``);
     genstar (generalized_star; extras: legs, leg_length; ``n`` ignored);
     unicyclic (unicyclic_family; extras: path_length defaulting to ``n``,
-    chord_path_length defaulting to 2); fig1, fig3, fig4 (fixed, no extras).
+    chord_path_length); fig1, fig3, fig4 (fixed, no extras).  An extra left
+    out takes the builder's default.
     """
     if extra and (kind in _PARAMETRIC_KINDS or kind in _FIXED_EXAMPLES):
         raise FamilyError(f"kind {kind!r} takes no extra parameters")
@@ -468,18 +483,14 @@ def generate_family(kind: str, n: int | None = None, **extra) -> Graph:
         if n is None:
             raise FamilyError(f"kind {kind!r} needs n")
         return _PARAMETRIC_KINDS[kind](n)
-    if kind == "genstar":
-        legs = extra.pop("legs", 3)
-        leg_length = extra.pop("leg_length", 2)
-        if extra:
-            raise FamilyError(f"unknown parameters {sorted(extra)} for {kind!r}")
-        return generalized_star(legs, leg_length)
-    if kind == "unicyclic":
-        path_length = extra.pop("path_length", n if n is not None else 5)
-        chord = extra.pop("chord_path_length", 2)
-        if extra:
-            raise FamilyError(f"unknown parameters {sorted(extra)} for {kind!r}")
-        return unicyclic_family(path_length, chord)
+    if kind in _KEYWORD_KINDS:
+        builder, names, from_n = _KEYWORD_KINDS[kind]
+        unknown = sorted(extra.keys() - names)
+        if unknown:
+            raise FamilyError(f"unknown parameters {unknown} for {kind!r}")
+        if from_n is not None and n is not None:
+            extra.setdefault(from_n, n)
+        return builder(**extra)
     if kind in _FIXED_EXAMPLES:
         size, edges = _FIXED_EXAMPLES[kind]
         return Graph.from_edges(size, edges)

@@ -18,17 +18,11 @@ always equals t_minus, so delta upgrades a t_minus witness; _delta_values,
 an unrelated kept-set sweep, is the oracle the corpus checks compare with.
 
 Each component's walk runs in (size, lex) order and each record keeps only
-strict improvements, and three cuts shorten it without changing a witness
-(the proofs are in _component_walk's docstring):
-
-* every admissible leftover is a forest, and a forest on k >= 1 vertices
-  has fewer than k edges, so the depth-first walk over deletion sets drops
-  every prefix whose kept sets must all keep that many edges, counted from
-  vertex degrees with no traversal;
-* a minimizing record stops once |S| + 1 reaches its best score;
-* the maximizing record, t_minus's, stops once min(|K|, alpha) - |S|
-  cannot beat its best, as by Gallai and Milgram (1960) the vertices of
-  any graph split into at most alpha(G) paths.
+strict improvements.  Three cuts shorten it without changing a witness: it
+drops every prefix whose kept sets must all hold a cycle, a minimizing
+record stops once no larger set can beat it, and t_minus's record stops at
+the Gallai-Milgram bound.  _component_walk's docstring states and proves
+them.
 
 The count is one level BFS per kept set: the BFS counts the components for
 the forest test, and its levels, deepest first, order the leaves-first
@@ -55,6 +49,7 @@ from .core import (
     _isolate,
     _mask_of,
     _path_count,
+    _vertex_set,
 )
 from .pathcover import _forest_cover, min_path_cover
 
@@ -361,14 +356,11 @@ def reduce_optimal_set(g: Graph, s) -> frozenset[int]:
     the cycle space dimension: each of their vertices owns a private cycle,
     and private cycles are linearly independent.
     """
-    s = set(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise DeletionError(f"vertex {v} out of range for n={g.n}")
+    s = _vertex_set(g, s, DeletionError)
     adj = g.adj
     full = (1 << g.n) - 1
 
-    def leaves_forest(drop: set[int]) -> bool:
+    def leaves_forest(drop: frozenset[int]) -> bool:
         return _is_forest_mask(adj, full & ~_mask_of(drop))
 
     if not leaves_forest(s):
@@ -379,4 +371,4 @@ def reduce_optimal_set(g: Graph, s) -> frozenset[int]:
             s = smaller
     k = len(_component_masks(adj, full))
     assert len(s) <= g.m - g.n + k
-    return frozenset(s)
+    return s

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _component_masks, _isolate, _mask_of
+from .core import Graph, _bits, _component_masks, _isolate, _mask_of, _vertex_set
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -78,10 +78,7 @@ def forcing_closure(g: Graph, b) -> ForcingTrace:
     uncolored neighbor v is then unique).  ``b`` forces the whole graph iff
     the final set has all n vertices.
     """
-    b = frozenset(b)
-    for v in b:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    b = _vertex_set(g, b)
     adj = g.adj
     filled = _mask_of(b)
     forces = []

@@ -1,10 +1,15 @@
 """Alternating-projection rank certificates and the multiplicity sandwich."""
 
+import hashlib
+import json
+import random
+
 import numpy as np
 import pytest
 
 import mrbounds as mb
 from mrbounds import certificates
+from conftest import class_representatives, random_graph
 
 
 class TestSampleAndProjectPattern:
@@ -182,6 +187,19 @@ class TestCertificateSearch:
         with pytest.raises(mb.CertificateError):
             mb.certificate_search(g, 1, restarts=0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("restarts", 1.5),
+        ("restarts", True),
+        ("restarts", 0),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("max_iter", -1),
+    ])
+    def test_bad_count_rejected(self, key, value):
+        # a float count would reach range() as a TypeError, and a bool would run as 1
+        with pytest.raises(mb.CertificateError, match=key):
+            mb.certificate_search(mb.path_graph(3), 1, **{key: value})
+
     @pytest.mark.parametrize("r", [1.5, True, 2.0])
     def test_non_int_rank_rejected(self, r):
         with pytest.raises(mb.CertificateError, match="not an int"):
@@ -310,6 +328,33 @@ class TestMSandwich:
         assert s.m_exact == 3
 
 
+# sha256 of repr(m_sandwich(g)) over sandwich_graphs(), without numerics, then
+# with numerics on the cycles C4-C8, the wheels W5-W7 and the 3-sun.  Taken
+# from the sandwich that set m_exact by its own three-way branch, before it
+# read both ends from MSandwich.lower and MSandwich.upper.
+SANDWICH_SHA256 = "fa4b4c2c13b2dab208fa75030cc8beacc9ad8d67173936c1b536045093b3c73e"
+
+
+def sandwich_graphs():
+    """Every class representative with n <= 6 (209 of them), then 200 seeded
+    random graphs with n in 7..12."""
+    for n in range(7):
+        yield from class_representatives(n)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        yield random_graph(rng.randint(7, 12), rng.choice((0.2, 0.35, 0.6)), rng)
+
+
+def test_sandwich_digest():
+    h = hashlib.sha256()
+    for g in sandwich_graphs():
+        h.update(repr(mb.m_sandwich(g, numeric=False)).encode())
+    numeric = [*map(mb.cycle_graph, range(4, 9)), *map(mb.wheel_graph, range(5, 8)), mb.sun_graph(3)]
+    for g in numeric:
+        h.update(repr(mb.m_sandwich(g)).encode())
+    assert h.hexdigest() == SANDWICH_SHA256
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         c = mb.certificate_search(mb.cycle_graph(5), 3)
@@ -356,8 +401,6 @@ class TestSerialization:
         ("entries", [1.0, float("nan"), 0.0, float("nan"), 1.0, 1.0, 0.0, 1.0, 1.0]),
     ])
     def test_mistyped_field_rejected(self, key, value):
-        import json
-
         d = json.loads(mb.certificate_to_json(mb.certificate_search(mb.path_graph(3), 2)))
         if value is None:
             del d[key]
@@ -366,13 +409,22 @@ class TestSerialization:
         with pytest.raises(mb.CertificateError, match=key):
             mb.certificate_from_json(json.dumps(d))
 
+    @pytest.mark.parametrize("key", ["entries", "sigma", "tol", "delta"])
+    def test_integer_too_large_for_a_float_rejected(self, key):
+        # json reads the literal 1e400 as inf, but an integer literal stays an int
+        d = json.loads(mb.certificate_to_json(mb.certificate_search(mb.path_graph(3), 2)))
+        if isinstance(d[key], list):
+            d[key][0] = 10 ** 400
+        else:
+            d[key] = 10 ** 400
+        with pytest.raises(mb.CertificateError, match=key):
+            mb.certificate_from_json(json.dumps(d))
+
     def test_non_object_rejected(self):
         with pytest.raises(mb.CertificateError, match="not an object"):
             mb.certificate_from_json("[]")
 
     def test_mismatched_n_rejected(self):
-        import json
-
         c = mb.certificate_search(mb.path_graph(3), 2)
         d = json.loads(mb.certificate_to_json(c))
         d["n"] = 4

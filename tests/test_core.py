@@ -84,6 +84,19 @@ class TestDeleteVertices:
             mb.delete_vertices(FIG1, {9})
 
 
+@pytest.mark.parametrize("v", [True, 1.0, 2.5, "1", -1, 4], ids=["True", "1.0", "2.5", "str", "-1", "n"])
+@pytest.mark.parametrize("call,error", [
+    (mb.delete_vertices, ValueError),
+    (mb.forcing_closure, ValueError),
+    (mb.reduce_optimal_set, mb.DeletionError),
+], ids=["delete_vertices", "forcing_closure", "reduce_optimal_set"])
+def test_vertex_set_rule(call, error, v):
+    # each vertex is an int, not a bool, in 0..n-1, on C4 (n = 4)
+    with pytest.raises(error) as exc:
+        call(mb.cycle_graph(4), [v])
+    assert exc.type is error
+
+
 def brute_alpha(g):
     """Largest independent vertex set, by checking every subset."""
     best = 0
@@ -228,6 +241,11 @@ class TestFamilies:
         assert g.n == 7 and g.degree(0) == 3
         assert mb.generate_family("genstar") == g
         assert mb.generate_family("genstar", legs=4, leg_length=1) == mb.star_graph(5)
+
+    def test_keyword_kinds_take_the_builders_defaults(self):
+        assert mb.generate_family("genstar") == mb.generalized_star()
+        assert mb.generate_family("unicyclic") == mb.unicyclic_family()
+        assert mb.generate_family("unicyclic", 7) == mb.unicyclic_family(7)
 
     def test_parametric_dispatch(self):
         assert mb.generate_family("cycle", 5) == mb.cycle_graph(5)
