@@ -57,7 +57,8 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``edges`` holds sorted pairs (i, j) with i < j; no loops, no multi-edges.
-    Construct through :meth:`from_edges`, which normalizes and validates.
+    Each endpoint is an int (a bool is not), as in _vertex_set.  Construct
+    through :meth:`from_edges`, which normalizes and validates.
     """
 
     n: int
@@ -66,14 +67,17 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        n = self.n
         for u, v in self.edges:
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"edge ({u}, {v}) is not a sorted in-range pair")
+            if not (type(u) is int is type(v) and 0 <= u < v < n):
+                raise ValueError(f"edge ({u!r}, {v!r}) is not a sorted in-range pair of ints")
 
     @staticmethod
     def from_edges(n: int, edges=()) -> "Graph":
         norm = set()
         for u, v in edges:
+            if not (type(u) is int is type(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -14,8 +14,10 @@ t+- scan only deletion sets as large as the component's cycle space, which
 is always enough; delta_plus scans every size and needs n <=
 DELTA_BRUTE_MAX_N.  A component that would need more than
 2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  delta
-always equals t_minus, so delta upgrades a t_minus witness; _delta_values,
-an unrelated kept-set sweep, is the oracle the corpus checks compare with.
+always equals t_minus, so delta upgrades a t_minus witness.  _delta_values
+is the oracle the corpus checks compare with: one pass over all kept sets
+that builds each one's path count from the kept set without its top
+vertex, with no code shared with the walk or the covers.
 
 Each component's walk runs in (size, lex) order and each record keeps only
 strict improvements.  Three cuts shorten it without changing a witness: it
@@ -48,7 +50,6 @@ from .core import (
     _is_forest_mask,
     _isolate,
     _mask_of,
-    _path_count,
     _vertex_set,
 )
 from .pathcover import _forest_cover, min_path_cover
@@ -302,16 +303,53 @@ def _t_values(adj, n: int) -> tuple[int, int]:
 
 
 def _delta_values(adj, n: int) -> tuple[int, int]:
-    """(delta, delta_plus) values by one sweep over kept-set masks."""
-    best_minus = -n
+    """(delta, delta_plus) values by one pass over kept-set masks.
+
+    count[K] is the path count of G[K] if it is a linear forest, else -1,
+    filled in ascending order of K.  Linear forests are hereditary, so
+    G[K] with top vertex v is one exactly when G[K - v] is one and v, put
+    back, touches at most two vertices of K - v, each an end of its path
+    (degree <= 1 in K - v), and two of them only if they end different
+    paths, which a walk from one end to the other end of its path decides.
+    v then starts a path, extends one or joins two, so the count rises by
+    one, stays or falls by one.  The pass reads only ``adj``; it shares no
+    code with the deletion walk or the path covers, so it stays an
+    independent oracle for delta = t_minus and for delta_plus.
+    """
+    count = [0] * (1 << n)
+    best_minus = -n  # the empty kept set: p = 0, |S| = n
     best_plus = n
-    for mask in range(1 << n):
-        p = _path_count(adj, mask)
-        if p is None:
-            continue
-        q = n - mask.bit_count()
-        best_minus = max(best_minus, p - q)
-        best_plus = min(best_plus, p + q)
+    for mask in range(1, 1 << n):
+        top = 1 << mask.bit_length() - 1
+        rest = mask ^ top
+        p = count[rest]
+        if p >= 0:
+            arms = adj[top.bit_length() - 1] & rest
+            a = arms & -arms  # v's lowest arm
+            b = arms ^ a  # its other arms
+            if not arms:
+                p += 1  # v starts a path
+            elif b & b - 1 or (adj[a.bit_length() - 1] & rest).bit_count() > 1:
+                p = -1  # v has three arms, or a lies inside its path
+            elif b:
+                if (adj[b.bit_length() - 1] & rest).bit_count() > 1:
+                    p = -1  # b lies inside its path
+                else:
+                    # walk a's path to its other end; if that is b, v closes a cycle
+                    prev, end = 0, a
+                    step = adj[a.bit_length() - 1] & rest
+                    while step:
+                        prev, end = end, step
+                        step = adj[end.bit_length() - 1] & rest & ~prev
+                    p = -1 if end == b else p - 1
+            # else v extends a's path and p stays
+        count[mask] = p
+        if p >= 0:
+            q = n - mask.bit_count()
+            if p - q > best_minus:
+                best_minus = p - q
+            if p + q < best_plus:
+                best_plus = p + q
     return best_minus, best_plus
 
 

@@ -229,7 +229,11 @@ def induced_path_cover_bruteforce(g: Graph) -> PathCover:
     """Minimum cover by vertex-disjoint *induced* paths, up to 8 vertices.
 
     Subset dynamic program over vertex masks: cost[S] = fewest induced paths
-    partitioning S.  Exact on any graph; exponential in n.
+    partitioning S.  Exact on any graph; exponential in n.  Some piece holds
+    the lowest vertex of S, so S tries only the induced paths whose lowest
+    vertex is S's, indexed by that vertex, in descending mask order: the
+    first strictly cheapest one is the largest mask among the cheapest, as
+    in a descending walk over all submasks of S.
     """
     if g.n > BRUTE_INDUCED_COVER_MAX_N:
         raise PathCoverError(f"brute-force induced cover capped at n={BRUTE_INDUCED_COVER_MAX_N}")
@@ -254,22 +258,22 @@ def induced_path_cover_bruteforce(g: Graph) -> PathCover:
                     induced[wm] = path + (w,)
                 nxt.append((wm, path + (w,)))
         frontier = nxt
-    masks = sorted(induced)
+    by_low: list[list[int]] = [[] for _ in range(n)]  # by lowest vertex, descending
+    for mask in sorted(induced, reverse=True):
+        by_low[(mask & -mask).bit_length() - 1].append(mask)
     INF = n + 1
     cost = [INF] * (full + 1)
     choice: list[int] = [0] * (full + 1)
     cost[0] = 0
     for s in range(1, full + 1):
-        low = s & -s
-        # only consider pieces containing the lowest vertex of s
-        sub = s
-        while sub:
-            if sub & low and sub in induced:
-                c = cost[s & ~sub] + 1
-                if c < cost[s]:
-                    cost[s] = c
+        best = INF
+        for sub in by_low[(s & -s).bit_length() - 1]:
+            if sub & s == sub:
+                c = cost[s ^ sub] + 1
+                if c < best:
+                    best = c
                     choice[s] = sub
-            sub = (sub - 1) & s
+        cost[s] = best
     paths = []
     s = full
     while s:

@@ -137,17 +137,24 @@ REPORT_CSV_HEADER = ",".join(
 # corpus enumeration
 
 def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """All labeled graphs on exactly n vertices, ascending by edge bitmask.
+    """All labeled graphs on exactly n vertices, ascending by edge bitmask:
+    bit k of the mask is the edge ``pairs[k]``, (0, 1), (0, 2), ..., (1, 2), ...
 
-    Capped at n = 7 (2^21 graphs); no isomorphism reduction.
+    Capped at n = 7 (2^21 graphs); no isomorphism reduction.  Each mask's
+    edge set is the union of three frozensets looked up by the mask's bytes,
+    from one table per byte with 2^b entries for the b edge bits in that
+    byte, built once per call as _isomorphism_classes builds its tables.
     """
     if not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"labeled enumeration supports 0 <= n <= {ENUMERATION_MAX_N}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = [[frozenset()], [frozenset()], [frozenset()]]  # edge bit k doubles byte k // 8's table
+    for k, pair in enumerate(pairs):
+        tables[k // 8] += [x | {pair} for x in tables[k // 8]]
+    lo, mid, hi = tables
     full = (1 << n) - 1
     for mask in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        g = Graph(n, frozenset(edges))
+        g = Graph(n, lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16])
         if connected_only and n > 0 and len(_component_masks(g.adj, full)) != 1:
             continue
         yield g

@@ -29,6 +29,14 @@ class TestGraph:
         with pytest.raises(ValueError, match="non-negative"):
             Graph(-1, frozenset())
 
+    @pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 2), (True, 2), (0, False), ("0", 1), (0, "2")])
+    def test_rejects_endpoints_that_are_not_ints(self, edge):
+        # a bool is not an int here, as in the vertex-set rule
+        with pytest.raises(ValueError, match="int"):
+            Graph.from_edges(3, [edge])
+        with pytest.raises(ValueError, match="int"):
+            Graph(3, frozenset({edge}))
+
     def test_adjacency_masks(self):
         g = FIG1
         assert g.adj[1] == (1 << 0) | (1 << 2) | (1 << 5)

@@ -8,7 +8,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph, deletion
-from mrbounds.core import _bits, _edge_count, _mask_of
+from mrbounds.core import _bits, _edge_count, _mask_of, _path_count
 from mrbounds.deletion import (
     DeletionError,
     _deletion_sets,
@@ -18,7 +18,7 @@ from mrbounds.deletion import (
     _t_values,
     _walk,
 )
-from mrbounds.reports import enumerate_small_graphs
+from mrbounds.reports import _isomorphism_classes, enumerate_small_graphs
 from conftest import class_representatives, random_graph, random_tree
 
 
@@ -254,6 +254,52 @@ class TestPrunedKernel:
                 assert (frozenset(_bits(s)), value, p) == ref[name], (asked, name)
             assert seen
             assert all(rest == 0 or _edge_count(g.adj, rest) < rest.bit_count() for rest in seen), asked
+
+
+def kept_set_sweep(adj, n):
+    """Reference for _delta_values: (delta, delta_plus) from core._path_count
+    run on each kept-set mask on its own, with no order between masks."""
+    best_minus, best_plus = -n, n
+    for mask in range(1 << n):
+        p = _path_count(adj, mask)
+        if p is not None:
+            q = n - mask.bit_count()
+            best_minus = max(best_minus, p - q)
+            best_plus = min(best_plus, p + q)
+    return best_minus, best_plus
+
+
+class TestDeltaValues:
+    """The one-pass kept-set DP of _delta_values against the per-mask sweep."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_labeled_graph(self, n):
+        # the values are invariants, so the sweep runs once per isomorphism
+        # class, while the DP, whose pass depends on the labels, runs on each
+        # labeled member
+        swept = []
+        for g, c in _isomorphism_classes(n):
+            if c == len(swept):
+                swept.append(kept_set_sweep(g.adj, n))
+            assert _delta_values(g.adj, n) == swept[c], g.graph6()
+
+    def test_random_graphs(self):
+        rng = random.Random(20261019)
+        for n in range(7, 15):
+            for p in (0.15, 0.3, 0.5):
+                g = random_graph(n, p, rng)
+                assert _delta_values(g.adj, n) == kept_set_sweep(g.adj, n), g.graph6()
+
+    @pytest.mark.parametrize(
+        "g",
+        [mb.cycle_graph(n) for n in (3, 4, 5, 8, 11)]
+        + [mb.wheel_graph(n) for n in (4, 5, 7, 10)]
+        + [mb.complete_graph(n) for n in (1, 2, 3, 4, 6, 9)]
+        + [mb.star_graph(16)],
+        ids=lambda g: g.graph6(),
+    )
+    def test_families(self, g):
+        assert _delta_values(g.adj, g.n) == kept_set_sweep(g.adj, g.n)
 
 
 class TestDeletionSetWalk:

@@ -3,6 +3,7 @@ two serialization formats."""
 
 import dataclasses
 import io
+import itertools
 import json
 import random
 
@@ -29,6 +30,15 @@ class TestEnumerateSmallGraphs:
         gs = list(mb.enumerate_small_graphs(3))
         assert gs[0].m == 0
         assert gs[-1].m == 3  # complete graph comes last
+
+    # at n = 7 the masks from 1 << 16 on reach the third byte's table
+    @pytest.mark.parametrize("n, stop", [(n, None) for n in range(7)] + [(7, (1 << 16) + 3000)])
+    def test_position_is_the_edge_mask(self, n, stop):
+        # bit k of a graph's position is the k-th pair in (0, 1), (0, 2), ..., (1, 2), ...
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask, g in enumerate(itertools.islice(mb.enumerate_small_graphs(n), stop)):
+            assert g.n == n and g.edges == frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+        assert mask + 1 == (stop or 1 << len(pairs))
 
     def test_cap(self):
         with pytest.raises(ValueError):
