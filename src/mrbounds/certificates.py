@@ -315,7 +315,7 @@ def _polish(a: np.ndarray, r: int, rows, cols, tol: float, delta: float):
     s1 = float(sig[0])
     if s1 == 0.0 or _residual(sig, r) > min(tol, POLISH_TOL) or least < POLISH_EDGE_ACCEPT * s1:
         return None
-    return entries, tuple(float(v) for v in sig), steps
+    return entries, sig, steps
 
 
 def certificate_search(
@@ -369,7 +369,7 @@ def certificate_search(
     _check_count("max_iter", max_iter, 0)
     rows, cols = _edge_arrays(g)
     best_rel = np.inf
-    best: tuple[np.ndarray, tuple[float, ...], int] | None = None
+    best: tuple[np.ndarray, np.ndarray, int] | None = None
     converged = False
     for attempt in range(restarts):
         a = np.array(sample_pattern(g, seed + attempt, delta).entries)
@@ -381,7 +381,7 @@ def certificate_search(
             rel = _residual(sig, r)
             if rel < best_rel:
                 best_rel = rel
-                best = (a.copy(), tuple(float(x) for x in sig), rounds)
+                best = (a, sig, rounds)
             if rel <= tol:
                 converged = True
                 break
@@ -405,6 +405,7 @@ def certificate_search(
     assert best is not None
     entries, sigma, iterations = best
     entries.setflags(write=False)
+    sigma = tuple(float(x) for x in sigma)
     return RankCertificate(PatternMatrix(entries, g, delta), r, sigma, tol, converged, iterations)
 
 

@@ -2,6 +2,9 @@
 
 Vertices are always 0..n-1.  Adjacency lives in a tuple of int bitmasks so that
 deletion searches, traversals, and subgraph tests stay in plain integer land.
+One level BFS (_level_bfs) is the only component traversal: the forest test,
+classify, each search's split into components and the greedy forest path
+cover all read its component masks or its levels.
 """
 
 from __future__ import annotations
@@ -65,23 +68,23 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
         n = self.n
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a non-negative int")
         for u, v in self.edges:
             if not (type(u) is int is type(v) and 0 <= u < v < n):
-                raise ValueError(f"edge ({u!r}, {v!r}) is not a sorted in-range pair of ints")
+                raise ValueError(f"edge ({u!r}, {v!r}) is not a sorted pair of ints in 0..{n - 1}")
 
     @staticmethod
     def from_edges(n: int, edges=()) -> "Graph":
+        """Graph on 0..n-1 from pairs in either order; the range of each
+        endpoint, like ``n`` itself, is checked by the constructor."""
         norm = set()
         for u, v in edges:
             if not (type(u) is int is type(v)):
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             norm.add((u, v) if u < v else (v, u))
         return Graph(n, frozenset(norm))
 
@@ -131,22 +134,45 @@ def _mask_of(vertices) -> int:
     return out
 
 
-def _component_masks(adj, mask: int) -> list[int]:
-    """Connected components of the subgraph induced on ``mask``, as masks."""
-    comps = []
+def _level_bfs(adj, mask: int) -> tuple[list[int], list[int]]:
+    """Level BFS of G[mask], one per component from its lowest vertex.
+
+    Returns (levels, comps): levels[d] holds the vertices at distance d from
+    the lowest vertex of their component, over all components, and comps
+    lists the component masks by ascending lowest vertex, so G[mask] is a
+    forest iff e(G[mask]) = |mask| - len(comps).  In a forest every edge
+    joins adjacent levels, so taken deepest level first, the vertices
+    already seen next to v are exactly its children: its parent lies one
+    level up, and no edge stays within a level.  That is the leaves-first
+    order of the greedy path cover.  ``adj`` may belong to a supergraph:
+    the BFS intersects it with ``mask``.  The loop takes the lowest bit of a
+    mask inline, as a _bits generator per frontier costs more than the BFS
+    itself on small masks.
+    """
+    levels: list[int] = []
+    comps: list[int] = []
     rest = mask
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        before = rest
+        frontier = rest & -rest
+        rest ^= frontier
+        depth = 0
         while frontier:
+            if depth < len(levels):
+                levels[depth] |= frontier
+            else:
+                levels.append(frontier)
             grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v] & rest
-            frontier = grown & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
+            x = frontier
+            while x:
+                low = x & -x
+                grown |= adj[low.bit_length() - 1]
+                x ^= low
+            frontier = grown & rest
+            rest ^= frontier
+            depth += 1
+        comps.append(before ^ rest)
+    return levels, comps
 
 
 def _edge_count(adj, mask: int) -> int:
@@ -158,7 +184,7 @@ def _edge_count(adj, mask: int) -> int:
 
 def _is_forest_mask(adj, mask: int) -> bool:
     # acyclic iff edges = vertices - components
-    return _edge_count(adj, mask) == mask.bit_count() - len(_component_masks(adj, mask))
+    return _edge_count(adj, mask) == mask.bit_count() - len(_level_bfs(adj, mask)[1])
 
 
 def _independence_number(adj, mask: int) -> int:
@@ -182,21 +208,6 @@ def _independence_number(adj, mask: int) -> int:
             top, top_deg = v, d
     rest = mask & ~(1 << top)
     return max(_independence_number(adj, rest), 1 + _independence_number(adj, rest & ~adj[top]))
-
-
-def _path_count(adj, mask: int):
-    """Path count p of G[mask] if it is a linear forest, else None."""
-    w = mask.bit_count()
-    e = 0
-    for v in _bits(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > 2:
-            return None
-        e += d
-    e //= 2
-    if e != w - len(_component_masks(adj, mask)):
-        return None
-    return w - e
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +240,7 @@ class ForestDecomposition:
 def _decomposition_of_mask(adj, mask: int) -> ForestDecomposition:
     comps = []
     kinds = []
-    for cm in _component_masks(adj, mask):
+    for cm in _level_bfs(adj, mask)[1]:
         vs = tuple(_bits(cm))
         e = _edge_count(adj, cm)
         if e >= len(vs):

@@ -26,10 +26,12 @@ record stops once no larger set can beat it, and t_minus's record stops at
 the Gallai-Milgram bound.  _component_walk's docstring states and proves
 them.
 
-The count is one level BFS per kept set: the BFS counts the components for
-the forest test, and its levels, deepest first, order the leaves-first
-greedy.  The cover number P it returns is also the path count of a linear
-forest, which the forest K is exactly when P = |K| - e(K).
+The count is one level BFS (core._level_bfs) per kept set: the BFS finds
+the components for the forest test, and its levels, deepest first, order
+the leaves-first greedy.  The same BFS splits each graph into the
+components the walk takes one at a time.  The cover number P it returns
+is also the path count of a linear forest, which the forest K is exactly
+when P = |K| - e(K).
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from .core import (
     ForestDecomposition,
     Graph,
     _bits,
-    _component_masks,
     _decomposition_of_mask,
     _edge_count,
     _independence_number,
     _is_forest_mask,
     _isolate,
+    _level_bfs,
     _mask_of,
     _vertex_set,
 )
@@ -255,7 +257,7 @@ def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]
     """
     t_asked = any(not _RECORDS[name][1] for name in names)
     plan = []
-    for comp in _component_masks(adj, (1 << n) - 1):
+    for comp in _level_bfs(adj, (1 << n) - 1)[1]:
         nc = comp.bit_count()
         m_c = _edge_count(adj, comp)
         t_limit = min(m_c - nc + 1, nc) if capped else nc
@@ -407,6 +409,6 @@ def reduce_optimal_set(g: Graph, s) -> frozenset[int]:
         smaller = s - {v}
         if leaves_forest(smaller):
             s = smaller
-    k = len(_component_masks(adj, full))
+    k = len(_level_bfs(adj, full)[1])
     assert len(s) <= g.m - g.n + k
     return s

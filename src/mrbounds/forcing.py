@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _component_masks, _isolate, _mask_of, _vertex_set
+from .core import Graph, _bits, _isolate, _level_bfs, _mask_of, _vertex_set
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -180,14 +180,14 @@ def zero_forcing_number(g: Graph) -> tuple[int, frozenset[int]]:
         raise ForcingError(f"zero forcing search capped at n={Z_SEARCH_MAX_N}")
     adj = g.adj
     witness: list[int] = []
-    for comp in _component_masks(adj, (1 << g.n) - 1):
+    for comp in _level_bfs(adj, (1 << g.n) - 1)[1]:
         witness.extend(_first_forcing_set(adj, comp, _wavefront(adj, comp)))
     return len(witness), frozenset(witness)
 
 
 def _z_value(adj, n: int) -> int:
     """Forcing number only, for bulk sweeps: no subset scan."""
-    return sum(_wavefront(adj, comp) for comp in _component_masks(adj, (1 << n) - 1))
+    return sum(_wavefront(adj, comp) for comp in _level_bfs(adj, (1 << n) - 1)[1])
 
 
 def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:

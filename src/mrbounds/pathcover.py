@@ -1,11 +1,12 @@
 """Minimum vertex-disjoint induced path covers of forests.
 
 For a forest, an induced path cover and a plain path cover coincide, and a
-single greedy leaves-first pass is exact.  It runs over one level BFS
-(_levels) with two consumers: _forest_cover counts the cover of an induced
-subforest for the deletion searches, and min_path_cover builds its paths
-and junctions.  Small brute-force variants are kept alongside as
-cross-check oracles for arbitrary graphs.
+single greedy leaves-first pass is exact.  It runs over the levels of
+core._level_bfs, the one component traversal, with two consumers:
+_forest_cover counts the cover of an induced subforest for the deletion
+searches, and min_path_cover builds its paths and junctions.  Small
+brute-force variants are kept alongside as cross-check oracles for
+arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Graph, _bits, _component_masks, _path_count
+from .core import Graph, _bits, _is_forest_mask, _level_bfs
 
 __all__ = [
     "PathCover",
@@ -64,48 +65,10 @@ def _validate_cover(g: Graph, cover: PathCover) -> None:
         raise PathCoverError("cover misses vertices")
 
 
-def _levels(adj, mask: int) -> tuple[list[int], int]:
-    """Level BFS of G[mask], one per component from its lowest vertex.
-
-    Returns (levels, comps): levels[d] holds the vertices at depth d over
-    all components, and comps counts the components, so G[mask] is a forest
-    iff e(G[mask]) = |mask| - comps.  In a forest every edge joins adjacent
-    levels, so taken deepest level first, the vertices already seen next to
-    v are exactly its children: its parent lies one level up, and no edge
-    stays within a level.  That is the leaves-first order of the greedy
-    cover.  ``adj`` may belong to a supergraph: the BFS intersects it with
-    ``mask``.  The loop takes the lowest bit of a mask inline, as a _bits
-    generator per frontier costs more than the BFS itself on small masks.
-    """
-    levels: list[int] = []
-    comps = 0
-    rest = mask
-    while rest:
-        frontier = rest & -rest
-        rest ^= frontier
-        depth = 0
-        while frontier:
-            if depth < len(levels):
-                levels[depth] |= frontier
-            else:
-                levels.append(frontier)
-            grown = 0
-            x = frontier
-            while x:
-                low = x & -x
-                grown |= adj[low.bit_length() - 1]
-                x ^= low
-            frontier = grown & rest
-            rest ^= frontier
-            depth += 1
-        comps += 1
-    return levels, comps
-
-
 def min_path_cover(g: Graph) -> PathCover:
     """Exact minimum path cover of a forest, with junction bookkeeping.
 
-    Runs the greedy over the levels of _levels, deepest first.  A vertex
+    Runs the greedy over the levels of _level_bfs, deepest first.  A vertex
     with no open child path starts a new open path; with one it extends
     that path; with two or more it joins the two smallest-label child paths
     through itself (becoming a junction), the result is closed, and any
@@ -113,8 +76,8 @@ def min_path_cover(g: Graph) -> PathCover:
     on graphs with cycles.
     """
     adj = g.adj
-    levels, comps = _levels(adj, (1 << g.n) - 1)
-    if g.m != g.n - comps:
+    levels, comps = _level_bfs(adj, (1 << g.n) - 1)
+    if g.m != g.n - len(comps):
         raise PathCoverError("graph has a cycle; minimum path cover needs a forest")
     paths: list[tuple[int, ...]] = []
     junctions: set[int] = set()
@@ -151,10 +114,13 @@ def _forest_cover(adj, mask: int, edges: int):
     ``edges`` is e(G[mask]), which the caller already knows.  Counts the
     greedy of min_path_cover over the same levels, with one mask of open
     path ends in place of the paths.  ``adj`` may belong to a supergraph.
-    The loop takes the lowest bit of a level inline, as _levels does.
+    This is the deletion walk's count, run once per kept set, so the forest
+    test is written out here rather than called through a shared helper,
+    whose extra call per kept set shows in the walk's time.  The loop takes
+    the lowest bit of a level inline, as _level_bfs does.
     """
-    levels, comps = _levels(adj, mask)
-    if edges != mask.bit_count() - comps:
+    levels, comps = _level_bfs(adj, mask)
+    if edges != mask.bit_count() - len(comps):
         return None
     count = 0
     open_ends = 0
@@ -182,34 +148,35 @@ def path_cover_bruteforce(g: Graph) -> PathCover:
     """
     if g.n > BRUTE_PATH_COVER_MAX_N:
         raise PathCoverError(f"brute-force path cover capped at n={BRUTE_PATH_COVER_MAX_N}")
+    n = g.n
+    full = (1 << n) - 1
     edges = sorted(g.edges)
-    best: list[tuple[int, int]] = []
     # a linear forest on n vertices has at most n - 1 edges
-    for k in range(min(len(edges), max(g.n - 1, 0)), 0, -1):
-        if k <= len(best):
-            break
+    for k in range(min(len(edges), max(n - 1, 0)), 0, -1):
         for sub in itertools.combinations(edges, k):
-            deg = [0] * g.n
-            ok = True
+            deg = [0] * n
             for u, v in sub:
                 deg[u] += 1
                 deg[v] += 1
                 if deg[u] > 2 or deg[v] > 2:
-                    ok = False
                     break
-            if not ok:
-                continue
-            if _path_count(Graph(g.n, frozenset(sub)).adj, (1 << g.n) - 1) is not None:
-                best = list(sub)
-                break
-    return _paths_from_linear_edges(g.n, best)
+            else:
+                # masks only for the subsets within the degree cap: most
+                # subsets fail it, and a list of counts is cheaper to test
+                adj = [0] * n
+                for u, v in sub:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                if _is_forest_mask(adj, full):
+                    return _linear_forest_paths(adj)
+    return _linear_forest_paths([0] * n)
 
 
-def _paths_from_linear_edges(n: int, edges) -> PathCover:
-    sg = Graph.from_edges(n, edges)
-    adj = sg.adj
+def _linear_forest_paths(adj) -> PathCover:
+    """The paths of the linear forest with adjacency masks ``adj``, each
+    from its lower end, by ascending least vertex."""
     paths = []
-    for comp in _component_masks(adj, (1 << n) - 1):
+    for comp in _level_bfs(adj, (1 << len(adj)) - 1)[1]:
         vs = list(_bits(comp))
         ends = [v for v in vs if (adj[v] & comp).bit_count() <= 1]
         start = min(ends)

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _component_masks, _is_forest_mask, parse_graph6
+from .core import Graph, _is_forest_mask, _level_bfs, parse_graph6
 from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -136,26 +136,35 @@ REPORT_CSV_HEADER = ",".join(
 # ---------------------------------------------------------------------------
 # corpus enumeration
 
+def _byte_tables(empty, items) -> list[list]:
+    """Three lookup tables for masks over ``items`` (at most 24 of them, so
+    21 edge bits at n = 7 fit): entry x of table b is the union (|), over
+    ``empty``, of items[8 b + i] for each bit i set in x.  A mask looks up
+    as lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16].  Item k
+    doubles table k // 8, so a table holds 2^b entries for its b items.
+    """
+    tables = [[empty], [empty], [empty]]
+    for k, item in enumerate(items):
+        tables[k // 8] += [x | item for x in tables[k // 8]]
+    return tables
+
+
 def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All labeled graphs on exactly n vertices, ascending by edge bitmask:
     bit k of the mask is the edge ``pairs[k]``, (0, 1), (0, 2), ..., (1, 2), ...
 
     Capped at n = 7 (2^21 graphs); no isomorphism reduction.  Each mask's
-    edge set is the union of three frozensets looked up by the mask's bytes,
-    from one table per byte with 2^b entries for the b edge bits in that
-    byte, built once per call as _isomorphism_classes builds its tables.
+    edge set is the union of three frozensets looked up by the mask's bytes
+    in _byte_tables built once per call.
     """
     if not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"labeled enumeration supports 0 <= n <= {ENUMERATION_MAX_N}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    tables = [[frozenset()], [frozenset()], [frozenset()]]  # edge bit k doubles byte k // 8's table
-    for k, pair in enumerate(pairs):
-        tables[k // 8] += [x | {pair} for x in tables[k // 8]]
-    lo, mid, hi = tables
+    lo, mid, hi = _byte_tables(frozenset(), [{pair} for pair in pairs])
     full = (1 << n) - 1
     for mask in range(1 << len(pairs)):
         g = Graph(n, lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16])
-        if connected_only and n > 0 and len(_component_masks(g.adj, full)) != 1:
+        if connected_only and n > 0 and len(_level_bfs(g.adj, full)[1]) != 1:
             continue
         yield g
 
@@ -170,18 +179,15 @@ def _isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
     in a table with one 2-byte entry per labeled graph (64 KB at n = 6, 4 MB
     at n = 7; freed when the generator ends), by a stack walk under the
     adjacent transpositions (v v+1), which generate all relabelings.  Each
-    transposition maps an edge mask through three tables, one per mask byte,
-    with 2^b entries for the b edge bits in that byte (21 bits at n = 7).
+    transposition maps an edge mask through its three _byte_tables of image
+    bits.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     moves = []
     for v in range(n - 1):
         swap = {v: v + 1, v + 1: v}
         image = [1 << pairs.index(tuple(sorted((swap.get(a, a), swap.get(b, b))))) for a, b in pairs]
-        luts = [[0], [0], [0]]  # one per mask byte; edge bit k doubles byte k // 8's table
-        for k, b in enumerate(image):
-            luts[k // 8] += [x | b for x in luts[k // 8]]
-        moves.append(luts)
+        moves.append(_byte_tables(0, image))
     table = array("H", bytes(2 << len(pairs)))  # 0 = unseen, else class index + 1
     classes = 0
     for mask, g in enumerate(enumerate_small_graphs(n)):
@@ -299,7 +305,7 @@ def verify_chain_corpus(
         failing: list[bool] = []  # per class, does its first member violate?
         for g, c in _isomorphism_classes(n):
             if c == len(failing):
-                skip = connected_only and len(_component_masks(g.adj, (1 << n) - 1)) != 1
+                skip = connected_only and len(_level_bfs(g.adj, (1 << n) - 1)[1]) != 1
                 hits = [] if skip else check_chain(_light_report(g))
                 failing.append(bool(hits))
                 violations.extend(hits)

@@ -6,7 +6,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.core import Graph6Error, FamilyError, _independence_number, _isolate
+from mrbounds.core import Graph6Error, FamilyError, _bits, _independence_number, _is_forest_mask, _isolate, _level_bfs
 from conftest import class_representatives, random_graph
 
 FIG1 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5)])
@@ -36,6 +36,15 @@ class TestGraph:
             Graph.from_edges(3, [edge])
         with pytest.raises(ValueError, match="int"):
             Graph(3, frozenset({edge}))
+
+    @pytest.mark.parametrize("n", [2.0, True, "3"], ids=["float", "bool", "str"])
+    def test_rejects_vertex_counts_that_are_not_ints(self, n):
+        # a bool is not an int here either, as in the vertex-set rule
+        for edges in ((), [(0, 1)]):
+            with pytest.raises(ValueError, match="vertex count"):
+                Graph(n, frozenset(edges))
+            with pytest.raises(ValueError, match="vertex count"):
+                Graph.from_edges(n, edges)
 
     def test_adjacency_masks(self):
         g = FIG1
@@ -103,6 +112,41 @@ def test_vertex_set_rule(call, error, v):
     with pytest.raises(error) as exc:
         call(mb.cycle_graph(4), [v])
     assert exc.type is error
+
+
+class TestLevelBfs:
+    """_level_bfs, the one component traversal, against networkx."""
+
+    @staticmethod
+    def check(nx, g, mask):
+        levels, comps = _level_bfs(g.adj, mask)
+        h = nx.Graph()
+        h.add_nodes_from(_bits(mask))
+        h.add_edges_from((u, v) for u, v in g.edges if mask >> u & mask >> v & 1)
+        theirs = sorted((sorted(c) for c in nx.connected_components(h)), key=min)
+        assert [list(_bits(c)) for c in comps] == theirs
+        # each vertex sits in exactly one level, its distance from the
+        # lowest vertex of its component
+        assert sum(level.bit_count() for level in levels) == mask.bit_count()
+        depth = {v: d for d, level in enumerate(levels) for v in _bits(level)}
+        for c in theirs:
+            for v, d in nx.single_source_shortest_path_length(h, c[0]).items():
+                assert depth[v] == d
+        assert _is_forest_mask(g.adj, mask) == (mask == 0 or nx.is_forest(h))
+
+    def test_every_labeled_graph(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(7):
+            for g in mb.enumerate_small_graphs(n):
+                self.check(nx, g, (1 << n) - 1)
+
+    def test_random_submasks(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20261019)
+        for _ in range(400):
+            n = rng.randint(1, 16)
+            g = random_graph(n, rng.choice((0.1, 0.2, 0.35, 0.6)), rng)
+            self.check(nx, g, rng.getrandbits(n))
 
 
 def brute_alpha(g):

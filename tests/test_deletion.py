@@ -8,7 +8,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph, deletion
-from mrbounds.core import _bits, _edge_count, _mask_of, _path_count
+from mrbounds.core import _bits, _decomposition_of_mask, _edge_count, _mask_of
 from mrbounds.deletion import (
     DeletionError,
     _deletion_sets,
@@ -257,15 +257,16 @@ class TestPrunedKernel:
 
 
 def kept_set_sweep(adj, n):
-    """Reference for _delta_values: (delta, delta_plus) from core._path_count
-    run on each kept-set mask on its own, with no order between masks."""
+    """Reference for _delta_values: (delta, delta_plus) from the path count of
+    classify's decomposition of each kept-set mask on its own, with no order
+    between masks."""
     best_minus, best_plus = -n, n
     for mask in range(1 << n):
-        p = _path_count(adj, mask)
-        if p is not None:
+        d = _decomposition_of_mask(adj, mask)
+        if d.is_linear_forest:
             q = n - mask.bit_count()
-            best_minus = max(best_minus, p - q)
-            best_plus = min(best_plus, p + q)
+            best_minus = max(best_minus, d.p - q)
+            best_plus = min(best_plus, d.p + q)
     return best_minus, best_plus
 
 

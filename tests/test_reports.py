@@ -236,19 +236,19 @@ class TestVerifyChainCorpus:
         assert len(calls) == 1 + 2 + 4 + 11 + 34
 
     def test_connected_only_decided_once_per_class(self, monkeypatch):
-        real_report, real_components = reports._light_report, reports._component_masks
+        real_report, real_bfs = reports._light_report, reports._level_bfs
         reports_made, components_found = [], []
 
         def counted_report(g):
             reports_made.append(g)
             return real_report(g)
 
-        def counted_components(adj, mask):
+        def counted_bfs(adj, mask):
             components_found.append(adj)
-            return real_components(adj, mask)
+            return real_bfs(adj, mask)
 
         monkeypatch.setattr(reports, "_light_report", counted_report)
-        monkeypatch.setattr(reports, "_component_masks", counted_components)
+        monkeypatch.setattr(reports, "_level_bfs", counted_bfs)
         assert mb.verify_chain_corpus(5, connected_only=True) == []
         # one connectivity test per class, one report per connected class
         assert len(components_found) == 1 + 2 + 4 + 11 + 34
