@@ -239,11 +239,12 @@ def _nonedge_arrays(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     return iu[off], ju[off]
 
 
-def _polish(a: np.ndarray, r: int, rows, cols, tol: float, delta: float):
+def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta: float):
     """Levenberg-Marquardt on the rank-r factor A = X diag(s) X^T of the
     pattern iterate ``a``, with the non-edge entries as residuals and each
     edge kept, in its sign, at least POLISH_EDGE_FLOOR times sigma[0] of
-    ``a`` in magnitude.
+    ``a`` in magnitude.  The search loop hands over its eigh (lam, q) of ``a``
+    and ``order``, the eigenvalue indices by descending magnitude.
 
     The result has its non-edges zeroed and is scaled up, if needed, so that
     every edge is at least ``delta`` in magnitude.  It is accepted only if it
@@ -252,8 +253,6 @@ def _polish(a: np.ndarray, r: int, rows, cols, tol: float, delta: float):
     steps) for an accepted matrix, else None.
     """
     n = a.shape[0]
-    lam, q = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(lam), kind="stable")
     keep = order[:r]
     s = np.sign(lam[keep])
     x = q[:, keep] * np.sqrt(np.abs(lam[keep]))
@@ -396,7 +395,7 @@ def certificate_search(
         if converged:
             break
         if r > 0:
-            polished = _polish(a, r, rows, cols, tol, delta)
+            polished = _polish(a, lam, q, order, r, rows, cols, tol, delta)
             if polished is not None:
                 entries, sigma, steps = polished
                 best = (entries, sigma, rounds + steps)

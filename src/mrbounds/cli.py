@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-chain", help="check the parameter chain over the corpus")
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--connected-only", action="store_true")
-    p_verify.add_argument("--long-run", action="store_true", help="allow max-n 7 (2^21 graphs)")
 
     p_survey = sub.add_parser("survey", help="equality-class survey over the corpus")
     p_survey.add_argument("--max-n", type=int, required=True)
@@ -96,11 +95,9 @@ def _cmd_compute(args) -> int:
     else:
         with open(args.file, "r", encoding="ascii") as fh:
             records = [line.strip() for line in fh if line.strip()]
-    reports = [
-        compute_report(parse_graph6(rec), with_numeric=args.numeric) for rec in records
-    ]
+    reports = [compute_report(parse_graph6(rec), with_numeric=args.numeric) for rec in records]
     emit_report(reports, format=args.format, destination=args.out)
-    return 0
+    return 0 if all(r.chain_ok for r in reports) else VERIFICATION_FAILURE
 
 
 def _cmd_family(args) -> int:
@@ -116,9 +113,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    violations = verify_chain_corpus(
-        args.max_n, args.connected_only, long_run=args.long_run
-    )
+    violations = verify_chain_corpus(args.max_n, args.connected_only)
     if violations:
         for v in violations:
             print(f"{v['graph6']}: {v['check']} fails with values {v['values']}")

@@ -36,6 +36,15 @@ __all__ = [
 GRAPH6_HEADER = b">>graph6<<"
 GRAPH6_MAX_N = 62
 
+# A search refuses, before any work, a component on which it could visit more
+# vertex sets than this.
+SEARCH_MAX_SETS = 1 << 16
+
+
+def _check_work(nc: int, work: int, sets: str, error: type[ValueError]) -> None:
+    if work > SEARCH_MAX_SETS:
+        raise error(f"{nc}-vertex component needs {work} {sets}, over 2^{SEARCH_MAX_SETS.bit_length() - 1}")
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input or unsupported size.

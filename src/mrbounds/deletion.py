@@ -11,13 +11,12 @@ All four add over connected components.  One walk per component feeds
 t_minus, t_plus and delta_plus, each a record with its own improvement
 rule, stop rule and size cap, and walks a size while any record is active.
 t+- scan only deletion sets as large as the component's cycle space, which
-is always enough; delta_plus scans every size and needs n <=
-DELTA_BRUTE_MAX_N.  A component that would need more than
-2^DELTA_BRUTE_MAX_N deletion sets raises DeletionError instead.  delta
-always equals t_minus, so delta upgrades a t_minus witness.  _delta_values
-is the oracle the corpus checks compare with: one pass over all kept sets
-that builds each one's path count from the kept set without its top
-vertex, with no code shared with the walk or the covers.
+is always enough; delta_plus scans every size.  A component that would need
+more than core.SEARCH_MAX_SETS deletion sets raises DeletionError instead.
+delta always equals t_minus, so delta upgrades a t_minus witness.
+_delta_values is the oracle the corpus checks compare with: one pass over
+all kept sets that builds each one's path count from the kept set without
+its top vertex, with no code shared with the walk or the covers.
 
 Each component's walk runs in (size, lex) order and each record keeps only
 strict improvements.  Three cuts shorten it without changing a witness: it
@@ -42,9 +41,11 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    SEARCH_MAX_SETS,
     ForestDecomposition,
     Graph,
     _bits,
+    _check_work,
     _decomposition_of_mask,
     _edge_count,
     _independence_number,
@@ -65,8 +66,6 @@ __all__ = [
     "t_minus",
     "t_plus",
 ]
-
-DELTA_BRUTE_MAX_N = 16
 
 
 class DeletionError(ValueError):
@@ -159,9 +158,9 @@ _RECORDS = {"t_minus": (False, False), "t_plus": (True, False), "delta_plus": (T
 # same disjoint set to both leaves that element unchanged; so swapping one
 # component's part for that component's lex-first optimum never moves a union
 # later, and the union of per-component lex-first optima is lex-first.
-def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
+def _component_walk(adj, comp: int, edges: int, limits, names):
     """[(value, deletion set mask, leftover count)] per name in ``names`` on
-    one connected component with ``edges`` edges.
+    one connected component with ``edges`` edges, each within its size in ``limits``.
 
     One walk over the deletion sets in ascending (size, lex) order feeds a
     record per name, each of t_minus, t_plus and delta_plus (_RECORDS).
@@ -171,7 +170,7 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
     P = |K| - e(K), and then P is its path count p.  delta_plus sees only
     those kept sets.  A record scores P - |S| (t_minus) or P + |S| (t_plus,
     delta_plus) and keeps only strict improvements, so its optimum is
-    canonical.  t+- stay within size ``t_limit``.
+    canonical.
 
     Two cuts stop a record at size q, and a size is walked only while some
     record has not stopped; neither changes a record's witness:
@@ -186,7 +185,7 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
       Redei", Acta Sci. Math. Szeged 21, 1960) the vertices of any graph
       split into at most alpha paths, and a linear forest's paths hold one
       independent vertex each.  alpha is computed once, when the nc bound
-      first fails to stop a record, and only for nc <= DELTA_BRUTE_MAX_N,
+      first fails to stop a record, and only while 2^nc <= SEARCH_MAX_SETS,
       so it stays within the work cap.
 
     Cyclic kept sets never reach the count: a forest on k >= 1 vertices has
@@ -198,15 +197,11 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
     vs = tuple(_bits(comp))
     nc = len(vs)
     # per name: [minimize, linear forests only, size cap, best value, its
-    # set, its count]; delta_plus may need to delete tree vertices (a star's
-    # centre), so only t+- keep the cycle-space cap
-    records = []
-    for name in names:
-        minimize, paths_only = _RECORDS[name]
-        records.append([minimize, paths_only, nc if paths_only else t_limit, None, 0, 0])
+    # set, its count]
+    records = [[*_RECORDS[name], limit, None, 0, 0] for name, limit in zip(names, limits)]
     # a component holds every neighbour of its vertices, so adj[v] is the
     # degree within it
-    suffix = _suffix_degrees(adj, vs, max(rec[2] for rec in records))
+    suffix = _suffix_degrees(adj, vs, max(limits))
     alpha = None
     active = records
     for q in itertools.count():
@@ -221,7 +216,7 @@ def _component_walk(adj, comp: int, edges: int, t_limit: int, names):
                         continue
                 elif nc - 2 * q <= best:
                     continue
-                elif nc <= DELTA_BRUTE_MAX_N:
+                elif 1 << nc <= SEARCH_MAX_SETS:
                     if alpha is None:
                         alpha = _independence_number(adj, comp)
                     if alpha - q <= best:
@@ -250,26 +245,23 @@ def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]
     """(value, deletion set mask, leftover count) per name in ``names``,
     summed over the components of the n-vertex graph ``adj``.
 
-    t+- scan deletion sets up to the component's cycle space dimension
-    (every size when ``capped`` is false), delta_plus every size, which
-    needs n <= DELTA_BRUTE_MAX_N.  The caps are checked before any walk, the
-    t+- work cap first.
+    On a component, t+- scan deletion sets up to its cycle space dimension
+    (every size when ``capped`` is false); delta_plus, which may delete tree
+    vertices (a star's centre), scans every size.  Each component's work, the
+    deletion sets up to the largest of those sizes, is checked against
+    core.SEARCH_MAX_SETS before any walk.
     """
-    t_asked = any(not _RECORDS[name][1] for name in names)
     plan = []
     for comp in _level_bfs(adj, (1 << n) - 1)[1]:
         nc = comp.bit_count()
         m_c = _edge_count(adj, comp)
         t_limit = min(m_c - nc + 1, nc) if capped else nc
-        work = sum(math.comb(nc, q) for q in range(t_limit + 1))
-        if t_asked and work > 1 << DELTA_BRUTE_MAX_N:
-            raise DeletionError(f"{nc}-vertex component needs {work} deletion sets, over 2^{DELTA_BRUTE_MAX_N}")
-        plan.append((comp, m_c, t_limit))
-    if "delta_plus" in names and n > DELTA_BRUTE_MAX_N:
-        raise DeletionError(f"delta_plus search capped at n={DELTA_BRUTE_MAX_N}")
+        limits = [nc if _RECORDS[name][1] else t_limit for name in names]
+        _check_work(nc, sum(math.comb(nc, q) for q in range(max(limits) + 1)), "deletion sets", DeletionError)
+        plan.append((comp, m_c, limits))
     totals = [(0, 0, 0)] * len(names)
-    for comp, m_c, t_limit in plan:
-        found = _component_walk(adj, comp, m_c, t_limit, names)
+    for comp, m_c, limits in plan:
+        found = _component_walk(adj, comp, m_c, limits, names)
         totals = [(v + fv, s | fs, p + fp) for (v, s, p), (fv, fs, fp) in zip(totals, found)]
     return totals
 
@@ -378,7 +370,7 @@ def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
 
 
 def delta_plus(g: Graph) -> DeletionWitness:
-    """min of p + |S| over deletion sets leaving p disjoint paths (n <= 16)."""
+    """min of p + |S| over deletion sets leaving p disjoint paths."""
     return _search(g, ("delta_plus",))[0]
 
 

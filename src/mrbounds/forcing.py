@@ -5,16 +5,17 @@ Color rule: a colored vertex with exactly one uncolored neighbor colors it.
 The closure is independent of the order forces are applied in; traces fix
 ascending order only so runs are reproducible.
 
-Z is searched once per connected component, in two steps.  A force u -> w
-only looks at u's neighbours, which lie in u's component, so a set forces G
-iff its part in each component forces that component, and Z adds up over
-components.  First the wavefront (after the Sage Minimum Rank Library of
-Butler et al.; see Brimkov, Fast & Hicks, "Computational approaches for zero
-forcing and related problems", EJOR 2019) finds the component's forcing
-number by a cheapest-cost search over closed sets, with no subset scan
-(_wavefront).  Then one scan of the subsets of exactly that size, in lex
-order, returns the first that forces.  The per-component witnesses unite to
-the global (size, lex)-first forcing set by the argument beside
+Z is searched once per connected component, of at most 16 vertices each
+(_components), in two steps.  A force u -> w only looks at u's neighbours,
+which lie in u's component, so a set forces G iff its part in each
+component forces that component, and Z adds up over components.  First the
+wavefront (after the Sage Minimum Rank Library of Butler et al.; see
+Brimkov, Fast & Hicks, "Computational approaches for zero forcing and
+related problems", EJOR 2019) finds the component's forcing number by a
+cheapest-cost search over closed sets, with no subset scan (_wavefront).
+Then one scan of the subsets of exactly that size, in lex order, returns
+the first that forces.  The per-component witnesses unite to the global
+(size, lex)-first forcing set by the argument beside
 deletion._component_walk.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _isolate, _level_bfs, _mask_of, _vertex_set
+from .core import Graph, _bits, _check_work, _isolate, _level_bfs, _mask_of, _vertex_set
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -34,8 +35,6 @@ __all__ = [
     "forcing_set_from_tplus",
     "zero_forcing_number",
 ]
-
-Z_SEARCH_MAX_N = 16
 
 
 class ForcingError(ValueError):
@@ -169,25 +168,31 @@ def _first_forcing_set(adj, comp: int, k: int) -> tuple[int, ...]:
     raise AssertionError("the wavefront value always has a forcing set")
 
 
+def _components(adj, n: int) -> list[int]:
+    """Component masks of ``adj``, each within the work cap on its 2^nc closed sets and subsets."""
+    comps = _level_bfs(adj, (1 << n) - 1)[1]
+    for comp in comps:
+        _check_work(comp.bit_count(), 1 << comp.bit_count(), "vertex sets", ForcingError)
+    return comps
+
+
 def zero_forcing_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Smallest size of a set that forces all of g, with its witness.
 
     The witness is the first forcing set in (size, lex) order: the
-    lexicographically smallest among the smallest.  Graphs with more than
-    Z_SEARCH_MAX_N vertices raise ForcingError.
+    lexicographically smallest among the smallest.  A component of more
+    than 16 vertices raises ForcingError.
     """
-    if g.n > Z_SEARCH_MAX_N:
-        raise ForcingError(f"zero forcing search capped at n={Z_SEARCH_MAX_N}")
     adj = g.adj
     witness: list[int] = []
-    for comp in _level_bfs(adj, (1 << g.n) - 1)[1]:
+    for comp in _components(adj, g.n):
         witness.extend(_first_forcing_set(adj, comp, _wavefront(adj, comp)))
     return len(witness), frozenset(witness)
 
 
 def _z_value(adj, n: int) -> int:
     """Forcing number only, for bulk sweeps: no subset scan."""
-    return sum(_wavefront(adj, comp) for comp in _level_bfs(adj, (1 << n) - 1)[1])
+    return sum(_wavefront(adj, comp) for comp in _components(adj, n))
 
 
 def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:

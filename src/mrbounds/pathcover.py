@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 BRUTE_PATH_COVER_MAX_N = 12
+BRUTE_PATH_COVER_MAX_TRIES = 1 << 21  # edge subsets; K9 takes 1,102,268
 BRUTE_INDUCED_COVER_MAX_N = 8
 
 
@@ -145,6 +146,7 @@ def path_cover_bruteforce(g: Graph) -> PathCover:
     Searches subsets of the edge set whose span is a linear forest, keeping
     the one using the most edges (paths = n - edges used).  Exponential;
     meant as an oracle for the greedy routine and for non-forest inputs.
+    Raises PathCoverError past BRUTE_PATH_COVER_MAX_TRIES edge subsets.
     """
     if g.n > BRUTE_PATH_COVER_MAX_N:
         raise PathCoverError(f"brute-force path cover capped at n={BRUTE_PATH_COVER_MAX_N}")
@@ -152,23 +154,26 @@ def path_cover_bruteforce(g: Graph) -> PathCover:
     full = (1 << n) - 1
     edges = sorted(g.edges)
     # a linear forest on n vertices has at most n - 1 edges
-    for k in range(min(len(edges), max(n - 1, 0)), 0, -1):
-        for sub in itertools.combinations(edges, k):
-            deg = [0] * n
+    sizes = range(min(len(edges), max(n - 1, 0)), 0, -1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(edges, k) for k in sizes)
+    for tries, sub in enumerate(subsets, 1):
+        if tries > BRUTE_PATH_COVER_MAX_TRIES:
+            raise PathCoverError(f"brute-force path cover tried {BRUTE_PATH_COVER_MAX_TRIES} edge subsets")
+        deg = [0] * n
+        for u, v in sub:
+            deg[u] += 1
+            deg[v] += 1
+            if deg[u] > 2 or deg[v] > 2:
+                break
+        else:
+            # masks only for the subsets within the degree cap: most
+            # subsets fail it, and a list of counts is cheaper to test
+            adj = [0] * n
             for u, v in sub:
-                deg[u] += 1
-                deg[v] += 1
-                if deg[u] > 2 or deg[v] > 2:
-                    break
-            else:
-                # masks only for the subsets within the degree cap: most
-                # subsets fail it, and a list of counts is cheaper to test
-                adj = [0] * n
-                for u, v in sub:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                if _is_forest_mask(adj, full):
-                    return _linear_forest_paths(adj)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if _is_forest_mask(adj, full):
+                return _linear_forest_paths(adj)
     return _linear_forest_paths([0] * n)
 
 

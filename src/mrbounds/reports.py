@@ -282,12 +282,7 @@ def check_chain(report: ParameterReport) -> list[dict]:
     ]
 
 
-def verify_chain_corpus(
-    max_n: int,
-    connected_only: bool = False,
-    *,
-    long_run: bool = False,
-) -> list[dict]:
+def verify_chain_corpus(max_n: int, connected_only: bool = False) -> list[dict]:
     """Check the chain on every labeled graph with 1 <= n <= max_n.
 
     Returns all violation records (expected: none), in enumeration order.
@@ -295,11 +290,11 @@ def verify_chain_corpus(
     only a class with a violation is recomputed on each of its members, so
     every record carries that labeled graph's own graph6 and values.
     ``connected_only`` is decided on the first member too, and drops a
-    disconnected class whole.  max_n = 7 (2^21 labeled graphs, 1044
-    classes) is allowed only with ``long_run``; max_n < 1 raises ValueError.
+    disconnected class whole.  max_n runs from 1 to ENUMERATION_MAX_N = 7
+    (2^21 labeled graphs, 1044 classes); any other max_n raises ValueError.
     """
-    if not 1 <= max_n <= (ENUMERATION_MAX_N if long_run else 6):
-        raise ValueError("need 1 <= max_n <= 6, or <= 7 with long_run")
+    if not 1 <= max_n <= ENUMERATION_MAX_N:
+        raise ValueError(f"need 1 <= max_n <= {ENUMERATION_MAX_N}")
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?

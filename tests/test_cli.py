@@ -111,6 +111,23 @@ class TestCompute:
         assert out == ""
         assert "forest bounds disagree" in err
 
+    def test_chain_violation_exits_one(self, capsys, monkeypatch, tmp_path):
+        # Z + 1 on C5 breaks z <= t_plus: compute still writes every report,
+        # then exits 1
+        c4, c5 = mb.cycle_graph(4), mb.cycle_graph(5)
+        real = reports.zero_forcing_number
+
+        def wrong_z(g):
+            z, witness = real(g)
+            return z + (g == c5), witness
+
+        monkeypatch.setattr(reports, "zero_forcing_number", wrong_z)
+        src = tmp_path / "graphs.g6"
+        src.write_text(f"{c5.graph6()}\n{c4.graph6()}\n")
+        code, out, _ = run(capsys, "compute", "--file", str(src))
+        assert code == 1
+        assert [(r["graph6"], r["chain_ok"]) for r in json.loads(out)] == [(c5.graph6(), False), (c4.graph6(), True)]
+
 
 class TestVerifyChain:
     def test_clean_corpus(self, capsys):
@@ -151,10 +168,11 @@ class TestVerifyChain:
         assert code == 0
         assert out == "no violations for n <= 4\n"
 
-    def test_guard_rejects_seven_without_long_run(self, capsys):
-        code, _, err = run(capsys, "verify-chain", "--max-n", "7")
+    def test_guard_rejects_eight(self, capsys):
+        code, out, err = run(capsys, "verify-chain", "--max-n", "8")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert "1 <= max_n <= 7" in err
 
     def test_max_n_below_one_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify-chain", "--max-n", "-1")

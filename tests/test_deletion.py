@@ -201,8 +201,10 @@ class TestWitnesses:
             assert (w.s, w.value, w.p_or_cover) == first_delta_plus(g), g.graph6()
 
     def test_delta_brute_cap(self):
-        with pytest.raises(DeletionError):
-            mb.delta_plus(Graph.from_edges(17))
+        # the cap is per component: P17 is refused, 17 isolated vertices are not
+        with pytest.raises(DeletionError, match="17-vertex component"):
+            mb.delta_plus(mb.path_graph(17))
+        assert mb.delta_plus(Graph.from_edges(17)).value == 17
 
 
 class TestPrunedKernel:

@@ -178,6 +178,19 @@ class TestZeroForcingNumber:
         with pytest.raises(mb.ForcingError):
             mb.zero_forcing_number(mb.path_graph(17))
 
+    def test_search_cap_is_per_component(self):
+        # both entry points check each component, so they take 17 isolated
+        # vertices and two disjoint C10s and refuse a 17-vertex component
+        # beside an isolated vertex
+        c10 = mb.cycle_graph(10)
+        two_c10 = mb.Graph.from_edges(20, [*c10.edges, *((u + 10, v + 10) for u, v in c10.edges)])
+        for g, z in ((mb.Graph.from_edges(17), 17), (two_c10, 4)):
+            assert mb.zero_forcing_number(g)[0] == _z_value(g.adj, g.n) == z
+        g = mb.Graph.from_edges(18, mb.path_graph(17).edges)
+        for run in (lambda: mb.zero_forcing_number(g), lambda: _z_value(g.adj, g.n)):
+            with pytest.raises(mb.ForcingError, match="17-vertex component needs 131072 vertex sets"):
+                run()
+
 
 class TestForcingSetFromTplus:
     def test_forest_uses_one_endpoint_per_path(self):

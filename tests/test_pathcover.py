@@ -214,6 +214,15 @@ class TestBruteforce:
         with pytest.raises(PathCoverError):
             mb.induced_path_cover_bruteforce(Graph.from_edges(9))
 
+    def test_work_cap(self):
+        # K_3,9 needs 6 paths, as each path holds at most one more vertex of
+        # the 9-side than of the 3-side, so the search would try every 7- to
+        # 11-subset of its 27 edges; K9 stays within the cap
+        k39 = Graph.from_edges(12, [(i, j) for i in range(3) for j in range(3, 12)])
+        with pytest.raises(PathCoverError, match="tried 2097152 edge subsets"):
+            mb.path_cover_bruteforce(k39)
+        assert mb.path_cover_bruteforce(mb.complete_graph(9)).size == 1
+
     def test_induced_equals_plain_on_forests(self, rng):
         for n in (5, 6, 7):
             for _ in range(25):

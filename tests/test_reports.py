@@ -169,14 +169,32 @@ class TestComputeReportSharesSearches:
 
     @pytest.mark.parametrize("g,message", [
         (mb.complete_graph(20), "20-vertex component needs 1048576 deletion sets, over 2^16"),
-        (mb.path_graph(17), "delta_plus search capped at n=16"),
+        (mb.path_graph(17), "17-vertex component needs 131072 deletion sets, over 2^16"),
     ], ids=["K20", "P17"])
     def test_cap_errors_keep_their_order(self, g, message):
-        # the t+- work cap is met before the delta_plus size cap, as when
-        # t_minus ran first
+        # one check per component, sized by the deepest record asked: K20's
+        # t+- walk every size, and so does P17's delta_plus although its t+-
+        # walk none; the deletion walk runs before the Z search
         with pytest.raises(mb.DeletionError) as err:
             mb.compute_report(g)
         assert str(err.value) == message
+
+
+class TestAdditivity:
+    """Each exact bound and its witness add over components, also past 16
+    vertices: the work cap is checked per component."""
+
+    def test_disjoint_union_adds(self):
+        rng = random.Random(20261019)
+        for _ in range(10):
+            a, b = (random_graph(rng.randint(9, 12), rng.choice((0.2, 0.35)), rng) for _ in range(2))
+            union = mb.Graph.from_edges(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)])
+            ra, rb, r = (mb.compute_report(g) for g in (a, b, union))
+            assert r.n > 16 and r.chain_ok
+            for name in ("t_minus", "delta", "z", "t_plus", "delta_plus"):
+                assert getattr(r, name) == getattr(ra, name) + getattr(rb, name), (name, r.graph6)
+            for key, witness in r.witnesses.items():
+                assert witness == ra.witnesses[key] + tuple(v + a.n for v in rb.witnesses[key]), (key, r.graph6)
 
 
 class TestCheckChain:
@@ -280,17 +298,14 @@ class TestVerifyChainCorpus:
             for hit in mb.check_chain(reports._light_report(g))
         ]
 
-    def test_long_run_guard(self):
-        with pytest.raises(ValueError):
-            mb.verify_chain_corpus(7)
-        with pytest.raises(ValueError):
-            mb.verify_chain_corpus(8, long_run=True)
+    def test_max_n_above_seven_rejected(self):
+        with pytest.raises(ValueError, match="1 <= max_n <= 7"):
+            mb.verify_chain_corpus(8)
 
     @pytest.mark.parametrize("max_n", [0, -1])
     def test_max_n_below_one_rejected(self, max_n):
-        for long_run in (False, True):
-            with pytest.raises(ValueError, match="1 <= max_n"):
-                mb.verify_chain_corpus(max_n, long_run=long_run)
+        with pytest.raises(ValueError, match="1 <= max_n"):
+            mb.verify_chain_corpus(max_n)
 
 
 class TestSurvey:
