@@ -9,7 +9,9 @@ random samples; a restart that stalls is refined by Levenberg-Marquardt on
 a fixed-rank factor and kept only at machine-precision residual.
 Certificates are numerical claims with an explicit tolerance, never proofs;
 m_sandwich combines them with the exact combinatorial bounds and refuses to
-let the numerics override those.
+let the numerics override those.  numpy loads on the first numeric call
+(see _NumpyOnFirstUse), so the exact bounds and m_sandwich without a gap
+run without it.
 
 The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
@@ -24,8 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .core import Graph, _is_forest_mask, parse_graph6
 from .deletion import _search
@@ -74,6 +74,20 @@ POLISH_DAMPING_TRIES = 10
 POLISH_TOL = 1e-11
 POLISH_EDGE_FLOOR = 0.3
 POLISH_EDGE_ACCEPT = 0.03
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until its first attribute lookup, which imports
+    numpy and rebinds the global ``np`` to it; later lookups go straight to
+    numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 
 class CertificateError(ValueError):

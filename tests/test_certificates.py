@@ -230,6 +230,23 @@ class TestCertificateSearch:
                 assert c.m_lower <= z
 
 
+class TestPolish:
+    def test_starts_from_the_largest_eigenpairs(self):
+        # C4's adjacency matrix has rank 2 (eigenvalues 2, 0, 0, -2) and every
+        # edge above the floor 0.3 * sigma[0], so a polish that starts from its
+        # two largest-magnitude eigenpairs returns it unchanged
+        g = mb.cycle_graph(4)
+        a = np.zeros((4, 4))
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1.0
+        lam, q = np.linalg.eigh(a)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        rows, cols = certificates._edge_arrays(g)
+        polished = certificates._polish(a, lam, q, order, 2, rows, cols, mb.TOL_DEFAULT, mb.DELTA_DEFAULT)
+        assert polished is not None
+        assert np.max(np.abs(polished[0] - a)) <= 1e-9
+
+
 class TestVerifyCertificate:
     def test_rejects_corrupted_entries(self):
         g = mb.cycle_graph(5)
