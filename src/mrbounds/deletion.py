@@ -241,21 +241,21 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     return [(best, s, p) for _, _, _, best, s, p in records]
 
 
-def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]:
+def _walk(adj, n: int, names) -> list[tuple[int, int, int]]:
     """(value, deletion set mask, leftover count) per name in ``names``,
     summed over the components of the n-vertex graph ``adj``.
 
-    On a component, t+- scan deletion sets up to its cycle space dimension
-    (every size when ``capped`` is false); delta_plus, which may delete tree
-    vertices (a star's centre), scans every size.  Each component's work, the
-    deletion sets up to the largest of those sizes, is checked against
-    core.SEARCH_MAX_SETS before any walk.
+    On a component, t+- scan deletion sets up to its cycle space dimension,
+    which reduce_optimal_set shows is enough; delta_plus, which may delete
+    tree vertices (a star's centre), scans every size.  Each component's
+    work, the deletion sets up to the largest of those sizes, is checked
+    against core.SEARCH_MAX_SETS before any walk.
     """
     plan = []
     for comp in _level_bfs(adj, (1 << n) - 1)[1]:
         nc = comp.bit_count()
         m_c = _edge_count(adj, comp)
-        t_limit = min(m_c - nc + 1, nc) if capped else nc
+        t_limit = min(m_c - nc + 1, nc)
         limits = [nc if _RECORDS[name][1] else t_limit for name in names]
         _check_work(nc, sum(math.comb(nc, q) for q in range(max(limits) + 1)), "deletion sets", DeletionError)
         plan.append((comp, m_c, limits))
@@ -266,28 +266,28 @@ def _walk(adj, n: int, names, capped: bool = True) -> list[tuple[int, int, int]]
     return totals
 
 
-def _search(g: Graph, names, capped: bool = True) -> list[DeletionWitness]:
+def _search(g: Graph, names) -> list[DeletionWitness]:
     """One DeletionWitness per name in ``names``, from one _walk."""
     adj = g.adj
     full = (1 << g.n) - 1
     return [
         DeletionWitness(name, frozenset(_bits(s)), value, _decomposition_of_mask(adj, full & ~s), p)
-        for name, (value, s, p) in zip(names, _walk(adj, g.n, names, capped))
+        for name, (value, s, p) in zip(names, _walk(adj, g.n, names))
     ]
 
 
-def t_minus(g: Graph, *, capped: bool = True) -> DeletionWitness:
+def t_minus(g: Graph) -> DeletionWitness:
     """max of P(G - S) - |S| over deletion sets S leaving a forest.
 
     The witness set is canonical: smallest, then lexicographically first,
     independently per connected component.
     """
-    return _search(g, ("t_minus",), capped)[0]
+    return _search(g, ("t_minus",))[0]
 
 
-def t_plus(g: Graph, *, capped: bool = True) -> DeletionWitness:
+def t_plus(g: Graph) -> DeletionWitness:
     """min of P(G - S) + |S| over deletion sets S leaving a forest."""
-    return _search(g, ("t_plus",), capped)[0]
+    return _search(g, ("t_plus",))[0]
 
 
 def _t_values(adj, n: int) -> tuple[int, int]:

@@ -92,8 +92,11 @@ class ParameterReport:
         them) raises TypeError.  ValueError is raised for a key that to_dict
         never writes, a witness that is not a strictly increasing list of
         vertices in 0..n-1, a graph6 that does not decode, and an n, m or
-        is_forest that the decoded graph does not have.  ``chain_ok`` is
-        loaded as written, even where check_chain disagrees."""
+        is_forest that the decoded graph does not have, and an m_exact or
+        m_lower_numeric outside the record's bracket: t_minus <= m_exact <=
+        min(z, t_plus), m_lower_numeric <= min(z, t_plus) and m_lower_numeric
+        <= m_exact.  ``chain_ok`` is loaded as written, even where check_chain
+        disagrees."""
         if not isinstance(d, dict):
             raise TypeError(f"report record {d!r} is not a JSON object")
         unknown = d.keys() - _FIELD_NAMES
@@ -122,6 +125,11 @@ class ParameterReport:
         g = parse_graph6(r.graph6)  # Graph6Error is a ValueError
         if (r.n, r.m, r.is_forest) != (g.n, g.m, _is_forest_mask(g.adj, (1 << g.n) - 1)):
             raise ValueError(f"n, m, is_forest {r.n, r.m, r.is_forest} do not fit graph6 {r.graph6!r}")
+        exact, numeric, upper = r.m_exact, r.m_lower_numeric, min(r.z, r.t_plus)
+        if ((exact is not None and not r.t_minus <= exact <= upper)
+                or (numeric is not None and not numeric <= (upper if exact is None else exact))):
+            raise ValueError(f"m_exact {exact}, m_lower_numeric {numeric} lie outside the bracket"
+                             f" [{r.t_minus}, {upper}]")
         return r
 
 
@@ -157,8 +165,8 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
     edge set is the union of three frozensets looked up by the mask's bytes
     in _byte_tables built once per call.
     """
-    if not 0 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"labeled enumeration supports 0 <= n <= {ENUMERATION_MAX_N}")
+    if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"labeled enumeration supports an int 0 <= n <= {ENUMERATION_MAX_N}, not {n!r}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     lo, mid, hi = _byte_tables(frozenset(), [{pair} for pair in pairs])
     full = (1 << n) - 1
@@ -291,10 +299,11 @@ def verify_chain_corpus(max_n: int, connected_only: bool = False) -> list[dict]:
     every record carries that labeled graph's own graph6 and values.
     ``connected_only`` is decided on the first member too, and drops a
     disconnected class whole.  max_n runs from 1 to ENUMERATION_MAX_N = 7
-    (2^21 labeled graphs, 1044 classes); any other max_n raises ValueError.
+    (2^21 labeled graphs, 1044 classes); any other max_n, or one that is
+    not an int (a bool is not), raises ValueError.
     """
-    if not 1 <= max_n <= ENUMERATION_MAX_N:
-        raise ValueError(f"need 1 <= max_n <= {ENUMERATION_MAX_N}")
+    if type(max_n) is not int or not 1 <= max_n <= ENUMERATION_MAX_N:
+        raise ValueError(f"need an int 1 <= max_n <= {ENUMERATION_MAX_N}, not {max_n!r}")
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?
@@ -329,10 +338,10 @@ def survey_open_questions(max_n: int) -> dict:
     equality holds and where it is strict, with counts.  These are lists,
     not characterizations.  Every labeled graph is listed, but the values
     are computed once per isomorphism class.  Place any other graph with
-    compute_report.  max_n must lie in 1..6.
+    compute_report.  max_n must be an int in 1..6.
     """
-    if not 1 <= max_n <= 6:
-        raise ValueError("survey needs 1 <= max_n <= 6")
+    if type(max_n) is not int or not 1 <= max_n <= 6:
+        raise ValueError(f"survey needs an int 1 <= max_n <= 6, not {max_n!r}")
     lists = {name: ([], []) for name in _SURVEY_CLASSES}  # (equal, strict)
     for n in range(1, max_n + 1):
         class_flags: list[list[bool]] = []

@@ -1,5 +1,5 @@
-"""Shared test helpers: labeled tree generation, random graphs and class
-representatives."""
+"""Shared test helpers: labeled tree generation, random graphs, class
+representatives and the exhaustive deletion reference."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from mrbounds import Graph
+from mrbounds import Graph, classify, delete_vertices, min_path_cover
 
 
 def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
@@ -65,6 +65,30 @@ def class_representatives(n: int):
         if c == seen:
             seen += 1
             yield g
+
+
+def first_optima(g: Graph) -> dict:
+    """Reference for the canonical witnesses of the deletion walk: scan every
+    deletion set of the whole graph in (size, lex) order, with no components,
+    no size cap and no cycle prechecks, and keep the first set with the
+    optimal score.  The forest cover comes from min_path_cover, not from the
+    walk's count.  Returns {parameter: (set, value, leftover count)} for
+    t_minus, t_plus and delta_plus."""
+    best = {}
+    for q in range(g.n + 1):
+        for sub in itertools.combinations(range(g.n), q):
+            forest = delete_vertices(g, sub)[0]
+            deco = classify(forest)
+            cover = min_path_cover(forest).size if deco.is_forest else None
+            paths = deco.p if deco.is_linear_forest else None
+            for name, p, minimize in (("t_minus", cover, False), ("t_plus", cover, True),
+                                      ("delta_plus", paths, True)):
+                if p is None:
+                    continue
+                val = p + q if minimize else p - q
+                if name not in best or (val < best[name][1] if minimize else val > best[name][1]):
+                    best[name] = (frozenset(sub), val, p)
+    return best
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Deletion parameters: golden values, witness canonicality, cap soundness."""
+"""Deletion parameters: golden values, witness canonicality, work caps."""
 
 import itertools
 import random
@@ -19,7 +19,7 @@ from mrbounds.deletion import (
     _walk,
 )
 from mrbounds.reports import _isomorphism_classes, enumerate_small_graphs
-from conftest import class_representatives, random_graph, random_tree
+from conftest import class_representatives, first_optima, random_graph, random_tree
 
 
 FIG1 = mb.generate_family("fig1")
@@ -51,59 +51,6 @@ GOLDEN = [
 ]
 
 
-def brute_t(g, minimize):
-    """Independent oracle: scan every deletion set, no caps, no components."""
-    adj = g.adj
-    best = None
-    for q in range(g.n + 1):
-        for sub in itertools.combinations(range(g.n), q):
-            sg, _ = mb.delete_vertices(g, sub)
-            if not mb.classify(sg).is_forest:
-                continue
-            p = mb.path_cover_bruteforce(sg).size
-            val = p + q if minimize else p - q
-            if best is None or (val < best if minimize else val > best):
-                best = val
-    return best
-
-
-def first_delta_plus(g):
-    """Reference for the canonical delta_plus witness: scan every deletion
-    set of the whole graph in (size, lex) order, no components, no pruning,
-    and keep the first set with the least score.  Returns (set, value, path
-    count)."""
-    best = None
-    for q in range(g.n + 1):
-        for sub in itertools.combinations(range(g.n), q):
-            deco = mb.classify(mb.delete_vertices(g, sub)[0])
-            if deco.is_linear_forest and (best is None or deco.p + q < best[1]):
-                best = (frozenset(sub), deco.p + q, deco.p)
-    return best
-
-
-def first_optima(g):
-    """Reference for the three canonical deletion walk witnesses: scan every
-    deletion set of the whole graph in (size, lex) order, with no components,
-    no size cap and no cycle prechecks, and keep the first set with the
-    optimal score.  The forest cover comes from min_path_cover, not from the
-    kernel's count.  Returns {parameter: (set, value, leftover count)}."""
-    best = {}
-    for q in range(g.n + 1):
-        for sub in itertools.combinations(range(g.n), q):
-            forest = mb.delete_vertices(g, sub)[0]
-            deco = mb.classify(forest)
-            cover = mb.min_path_cover(forest).size if deco.is_forest else None
-            paths = deco.p if deco.is_linear_forest else None
-            for name, p, minimize in (("t_minus", cover, False), ("t_plus", cover, True),
-                                      ("delta_plus", paths, True)):
-                if p is None:
-                    continue
-                val = p + q if minimize else p - q
-                if name not in best or (val < best[name][1] if minimize else val > best[name][1]):
-                    best[name] = (frozenset(sub), val, p)
-    return best
-
-
 def interleaved_union(rng):
     """Disjoint union of two random graphs whose vertex labels interleave."""
     n = rng.randint(6, 10)
@@ -125,8 +72,8 @@ class TestGoldenValues:
 
     @pytest.mark.parametrize("g,tm,tp,d,dp", [row for row in GOLDEN if row[0].n <= 8])
     def test_against_uncapped_oracle(self, g, tm, tp, d, dp):
-        assert brute_t(g, minimize=False) == tm
-        assert brute_t(g, minimize=True) == tp
+        ref = first_optima(g)
+        assert (ref["t_minus"][1], ref["t_plus"][1], ref["delta_plus"][1]) == (tm, tp, dp)
 
     def test_complement_of_fig4_values(self):
         # t_minus can be very negative on dense graphs
@@ -198,7 +145,7 @@ class TestWitnesses:
             graphs = [interleaved_union(rng) for _ in range(100)]
         for g in graphs:
             w = mb.delta_plus(g)
-            assert (w.s, w.value, w.p_or_cover) == first_delta_plus(g), g.graph6()
+            assert (w.s, w.value, w.p_or_cover) == first_optima(g)["delta_plus"], g.graph6()
 
     def test_delta_brute_cap(self):
         # the cap is per component: P17 is refused, 17 isolated vertices are not
@@ -208,14 +155,17 @@ class TestWitnesses:
 
 
 class TestPrunedKernel:
-    @pytest.mark.parametrize("source", ["labeled_n_le_5", "classes_n6", "complete_and_empty", "random_n9_11"])
-    def test_matches_plain_scan(self, source):
+    @pytest.mark.parametrize("source", ["labeled_n_le_5", "classes_n6", "complete_and_empty", "random_n6",
+                                        "random_n9_11"])
+    def test_matches_plain_scan(self, source, rng):
         if source == "labeled_n_le_5":
             graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
         elif source == "classes_n6":
             graphs = class_representatives(6)
         elif source == "complete_and_empty":
             graphs = [mb.complete_graph(n) for n in range(1, 8)] + [Graph.from_edges(n) for n in range(8)]
+        elif source == "random_n6":
+            graphs = [random_graph(6, 0.5, rng) for _ in range(30)]
         else:
             rng = random.Random(20261018)
             graphs = [random_graph(n, p, rng) for n in (9, 10, 11) for p in (0.2, 0.35, 0.6)]
@@ -229,11 +179,15 @@ class TestPrunedKernel:
 
     def test_delta_has_one_engine(self):
         # delta is always the t_minus upgrade: no keyword picks another
-        # engine, and the walk keeps no delta record
+        # engine, and the walk keeps no delta record; t+- take no keyword
+        # that widens their size limit
         with pytest.raises(TypeError):
             mb.delta(FIG1, bruteforce=True)
         with pytest.raises(KeyError):
             _walk(FIG1.adj, FIG1.n, ("delta",))
+        for op in (mb.t_minus, mb.t_plus):
+            with pytest.raises(TypeError):
+                op(FIG1, capped=False)
 
     def test_count_never_sees_a_cyclic_kept_set(self, monkeypatch):
         # K8 less a 3-edge matching: most kept sets hold a cycle
@@ -343,18 +297,6 @@ class TestDeletionSetWalk:
 
 
 class TestCaps:
-    def test_capped_equals_uncapped_random(self, rng):
-        for _ in range(30):
-            g = random_graph(6, 0.5, rng)
-            assert mb.t_minus(g).value == mb.t_minus(g, capped=False).value
-            assert mb.t_plus(g).value == mb.t_plus(g, capped=False).value
-
-    def test_capped_witness_identical(self, rng):
-        for _ in range(30):
-            g = random_graph(6, 0.5, rng)
-            assert mb.t_minus(g).s == mb.t_minus(g, capped=False).s
-            assert mb.t_plus(g).s == mb.t_plus(g, capped=False).s
-
     def test_t_work_cap(self):
         for op in (mb.t_minus, mb.t_plus):
             start = time.perf_counter()

@@ -2,6 +2,7 @@
 t_plus-witness construction."""
 
 import itertools
+import random
 
 import pytest
 
@@ -215,12 +216,20 @@ class TestForcingSetFromTplus:
         assert mb.forcing_closure(g, f).forces_all(5)
 
     def test_size_bounded_by_t_plus_everywhere(self, rng):
-        for _ in range(50):
-            g = random_graph(7, 0.35, rng)
+        graphs = [random_graph(7, 0.35, rng) for _ in range(50)]
+        # cyclic graphs n 8..16: a random tree plus 0, 2, 4 or 6 chords
+        seeded = random.Random(20261019)
+        for n in range(8, 17):
+            for chords in (0, 2, 4, 6):
+                for _ in range(3):
+                    tree = random_tree(n, seeded)
+                    missing = sorted(set(itertools.combinations(range(n), 2)) - tree.edges)
+                    graphs.append(mb.Graph.from_edges(n, [*tree.edges, *seeded.sample(missing, chords)]))
+        for g in graphs:
             w = mb.t_plus(g)
             f = mb.forcing_set_from_tplus(g, w)
-            assert len(f) <= w.value
-            assert mb.forcing_closure(g, f).forces_all(g.n)
+            assert len(f) == w.value, g.graph6()
+            assert mb.forcing_closure(g, f).forces_all(g.n), g.graph6()
 
     def test_wrong_parameter_rejected(self):
         g = mb.cycle_graph(5)

@@ -307,6 +307,20 @@ class TestVerifyChainCorpus:
         with pytest.raises(ValueError, match="1 <= max_n"):
             mb.verify_chain_corpus(max_n)
 
+    @pytest.mark.parametrize("call", [
+        lambda: mb.verify_chain_corpus(True),
+        lambda: mb.verify_chain_corpus(2.0),
+        lambda: mb.survey_open_questions(True),
+        lambda: mb.survey_open_questions(2.0),
+        lambda: list(mb.enumerate_small_graphs(True)),
+        lambda: list(mb.enumerate_small_graphs(3.0)),
+    ], ids=["verify-bool", "verify-float", "survey-bool", "survey-float",
+            "enumerate-bool", "enumerate-float"])
+    def test_corpus_size_must_be_an_int(self, call):
+        # a bool would sweep n = 1 only, a float would fail inside range()
+        with pytest.raises(ValueError, match="an int"):
+            call()
+
 
 class TestSurvey:
     def test_counts_n_le_4(self):
@@ -502,6 +516,39 @@ class TestSerialization:
         text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
         with pytest.raises(ValueError, match=f"row 1 is malformed.*{match}"):
             mb.load_reports_csv(io.StringIO(text))
+
+    # a multiplicity outside the record's own bracket [t_minus, min(z, t_plus)];
+    # P3's is [1, 1], C5's is [0, 2]
+    OFF_BRACKET = [(mb.path_graph(3), {"m_exact": 5}), (mb.path_graph(3), {"m_exact": 0}),
+                   (mb.path_graph(3), {"m_lower_numeric": 9}),
+                   (mb.cycle_graph(5), {"m_exact": 1, "m_lower_numeric": 2})]
+    OFF_BRACKET_IDS = ["P3-exact-high", "P3-exact-low", "P3-numeric-high", "C5-numeric-above-exact"]
+
+    @pytest.mark.parametrize("g,values", OFF_BRACKET, ids=OFF_BRACKET_IDS)
+    def test_json_multiplicity_outside_the_bracket_rejected(self, g, values):
+        good = mb.compute_report(g).to_dict()
+        data = [good, dict(good, **values)]
+        with pytest.raises(ValueError, match="record 1 is malformed.*outside the bracket"):
+            mb.load_reports_json(io.StringIO(json.dumps(data)))
+
+    @pytest.mark.parametrize("g,values", OFF_BRACKET, ids=OFF_BRACKET_IDS)
+    def test_csv_multiplicity_outside_the_bracket_rejected(self, g, values):
+        buf = io.StringIO()
+        mb.emit_report([mb.compute_report(g)] * 2, format="csv", destination=buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[2].split(",")
+        for key, value in values.items():
+            row[lines[0].split(",").index(key)] = json.dumps(value)
+        text = "\n".join(lines[:2] + [",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match="row 1 is malformed.*outside the bracket"):
+            mb.load_reports_csv(io.StringIO(text))
+
+    def test_multiplicity_inside_the_bracket_loads(self):
+        # the bracket's ends are allowed: C5's bracket is [0, 2]
+        good = mb.compute_report(mb.cycle_graph(5)).to_dict()
+        for values in ({"m_lower_numeric": 2}, {"m_exact": 0}):
+            r = mb.load_reports_json(io.StringIO(json.dumps([dict(good, **values)])))[0]
+            assert (r.m_lower_numeric, r.m_exact) == (values.get("m_lower_numeric"), values.get("m_exact"))
 
     @pytest.mark.parametrize("record", [[1], "witnesses"])
     def test_from_dict_rejects_a_non_object(self, record):
