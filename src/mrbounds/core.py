@@ -125,6 +125,19 @@ class Graph:
         return emit_graph6(self).decode("ascii")
 
 
+def _enumerated_graph(n: int, edges: frozenset[tuple[int, int]]) -> Graph:
+    """Graph(n, edges) without __post_init__'s per-edge check, for
+    reports.enumerate_small_graphs only.  The check always holds there: n is
+    an int in 0..7 checked once per call, and each edge set is a union of
+    that function's own int pairs (i, j), 0 <= i < j < n.
+    """
+    g = object.__new__(Graph)
+    d = g.__dict__
+    d["n"] = n
+    d["edges"] = edges
+    return g
+
+
 # ---------------------------------------------------------------------------
 # bitmask helpers (shared by the other modules; masks index vertices 0..n-1)
 

@@ -20,12 +20,13 @@ import json
 import sys
 from array import array
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import chain
 from typing import Iterable, Iterator
 
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _is_forest_mask, _level_bfs, parse_graph6
+from .core import Graph, _enumerated_graph, _is_forest_mask, _level_bfs, parse_graph6
 from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -148,8 +149,10 @@ def _byte_tables(empty, items) -> list[list]:
     """Three lookup tables for masks over ``items`` (at most 24 of them, so
     21 edge bits at n = 7 fit): entry x of table b is the union (|), over
     ``empty``, of items[8 b + i] for each bit i set in x.  A mask looks up
-    as lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16].  Item k
-    doubles table k // 8, so a table holds 2^b entries for its b items.
+    as lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16]; entry 0 of
+    each table is ``empty``, so a table the mask's set bits do not reach
+    may be left out of the union.  Item k doubles table k // 8, so a table
+    holds 2^b entries for its b items.
     """
     tables = [[empty], [empty], [empty]]
     for k, item in enumerate(items):
@@ -161,17 +164,30 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
     """All labeled graphs on exactly n vertices, ascending by edge bitmask:
     bit k of the mask is the edge ``pairs[k]``, (0, 1), (0, 2), ..., (1, 2), ...
 
-    Capped at n = 7 (2^21 graphs); no isomorphism reduction.  Each mask's
-    edge set is the union of three frozensets looked up by the mask's bytes
-    in _byte_tables built once per call.
+    Capped at n = 7 (2^21 graphs); no isomorphism reduction.  ``n`` is
+    checked here, when the function is called, and the graphs come from the
+    generator it returns.  Edge sets come from _byte_tables of frozensets,
+    built once per call, and only from the tables a mask reaches: a mask
+    below 2^8 is its low byte's set, and any other mask one union of that
+    set with the set of its upper bytes, which is built once for each run
+    of 256 masks that share it.  The edge sets are this module's own sorted
+    int pairs, so each graph skips the per-edge check of ``Graph``
+    (core._enumerated_graph).
     """
     if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"labeled enumeration supports an int 0 <= n <= {ENUMERATION_MAX_N}, not {n!r}")
+    return _labeled_graphs(n, connected_only)
+
+
+def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     lo, mid, hi = _byte_tables(frozenset(), [{pair} for pair in pairs])
+    # the edge set of bytes 1 and 2 of each mask from 2^8 on, ascending
+    upper = chain(mid[1:], (y | z for z in hi[1:] for y in mid))
+    edge_sets = chain(lo, (x | u for u in upper for x in lo))
     full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16])
+    for edges in edge_sets:
+        g = _enumerated_graph(n, edges)
         if connected_only and n > 0 and len(_level_bfs(g.adj, full)[1]) != 1:
             continue
         yield g
@@ -185,16 +201,20 @@ def _isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
     is new exactly when its index equals the number of classes met so far.
     The first member of a class marks the class's whole orbit of edge masks
     in a table with one 2-byte entry per labeled graph (64 KB at n = 6, 4 MB
-    at n = 7; freed when the generator ends), by a stack walk under the
-    adjacent transpositions (v v+1), which generate all relabelings.  Each
-    transposition maps an edge mask through its three _byte_tables of image
-    bits.
+    at n = 7; freed when the generator ends), by a stack walk under two
+    relabelings: the swap (0 1) and the rotation v -> v+1 mod n (one and the
+    same at n = 2).  They generate every relabeling: conjugating (0 1) by
+    the rotation k times gives (k k+1), and the adjacent transpositions
+    generate the symmetric group.  So the walk marks every relabeling of the
+    first member, and, each move being a relabeling, nothing else.  Each
+    move maps an edge mask through its three _byte_tables of image bits.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    swap, rotation = (1, 0, *range(2, n)), (*range(1, n), 0)
     moves = []
-    for v in range(n - 1):
-        swap = {v: v + 1, v + 1: v}
-        image = [1 << pairs.index(tuple(sorted((swap.get(a, a), swap.get(b, b))))) for a, b in pairs]
+    for p in [swap, rotation] if n > 2 else [swap] if n == 2 else []:
+        image = [1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
         moves.append(_byte_tables(0, image))
     table = array("H", bytes(2 << len(pairs)))  # 0 = unseen, else class index + 1
     classes = 0

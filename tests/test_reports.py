@@ -32,7 +32,9 @@ class TestEnumerateSmallGraphs:
         assert gs[-1].m == 3  # complete graph comes last
 
     # at n = 7 the masks from 1 << 16 on reach the third byte's table
-    @pytest.mark.parametrize("n, stop", [(n, None) for n in range(7)] + [(7, (1 << 16) + 3000)])
+    STOPS = [(n, None) for n in range(7)] + [(7, (1 << 16) + 3000)]
+
+    @pytest.mark.parametrize("n, stop", STOPS)
     def test_position_is_the_edge_mask(self, n, stop):
         # bit k of a graph's position is the k-th pair in (0, 1), (0, 2), ..., (1, 2), ...
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -40,11 +42,24 @@ class TestEnumerateSmallGraphs:
             assert g.n == n and g.edges == frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
         assert mask + 1 == (stop or 1 << len(pairs))
 
+    @pytest.mark.parametrize("n, stop", STOPS)
+    def test_graphs_match_the_checked_constructor(self, n, stop):
+        # the enumeration skips Graph's per-edge check; its graphs must pass it
+        for g in itertools.islice(mb.enumerate_small_graphs(n), stop):
+            h = mb.Graph(g.n, g.edges)
+            assert type(g) is mb.Graph and g == h and hash(g) == hash(h)
+            adj = [0] * n
+            for u, v in h.edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            assert g.adj == tuple(adj)
+
     def test_cap(self):
+        # checked on the call, before any graph is drawn
         with pytest.raises(ValueError):
-            list(mb.enumerate_small_graphs(8))
+            mb.enumerate_small_graphs(8)
         with pytest.raises(ValueError):
-            list(mb.enumerate_small_graphs(-1))
+            mb.enumerate_small_graphs(-1)
 
 
 class TestComputeReport:
@@ -225,6 +240,18 @@ class TestIsomorphismClasses:
         for n, count in enumerate((1, 1, 2, 4, 11, 34, 156)):
             assert max(c for _, c in reports._isomorphism_classes(n)) + 1 == count
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_class_is_the_least_relabeled_mask(self, n):
+        # reference: a graph's class is its least edge mask over all n!
+        # relabelings, numbered in order of first appearance
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        images = [[1 << pairs.index((min(p[a], p[b]), max(p[a], p[b]))) for a, b in pairs]
+                  for p in itertools.permutations(range(n))]
+        number = {}
+        for mask, (g, c) in enumerate(reports._isomorphism_classes(n)):
+            least = min(sum(bit for k, bit in enumerate(image) if mask >> k & 1) for image in images)
+            assert c == number.setdefault(least, len(number))
+
     def test_light_report_is_relabeling_invariant(self, rng):
         fields = [f.name for f in dataclasses.fields(mb.ParameterReport) if f.name != "graph6"]
         for _ in range(300):
@@ -312,8 +339,8 @@ class TestVerifyChainCorpus:
         lambda: mb.verify_chain_corpus(2.0),
         lambda: mb.survey_open_questions(True),
         lambda: mb.survey_open_questions(2.0),
-        lambda: list(mb.enumerate_small_graphs(True)),
-        lambda: list(mb.enumerate_small_graphs(3.0)),
+        lambda: mb.enumerate_small_graphs(True),
+        lambda: mb.enumerate_small_graphs(3.0),
     ], ids=["verify-bool", "verify-float", "survey-bool", "survey-float",
             "enumerate-bool", "enumerate-float"])
     def test_corpus_size_must_be_an_int(self, call):
