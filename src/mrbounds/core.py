@@ -395,35 +395,37 @@ def parse_graph6(text: bytes | str) -> Graph:
 # stars have center 0; wheels have the hub last; suns put the pendant of
 # cycle vertex i at n+i; generalized stars chain each leg consecutively.
 
+def _check_size(kind: str, name: str, value, least: int) -> None:
+    """FamilyError unless ``value`` is an int (a bool is not), as in
+    Graph, and at least ``least``."""
+    if type(value) is not int or value < least:
+        raise FamilyError(f"{kind} needs an int {name} >= {least}, got {value!r}")
+
+
 def path_graph(n: int) -> Graph:
-    if n < 0:
-        raise FamilyError("path needs n >= 0")
+    _check_size("path", "n", n, 0)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise FamilyError("cycle needs n >= 3")
+    _check_size("cycle", "n", n, 3)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1} with center 0."""
-    if n < 2:
-        raise FamilyError("star needs n >= 2")
+    _check_size("star", "n", n, 2)
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise FamilyError("complete graph needs n >= 0")
+    _check_size("complete graph", "n", n, 0)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def wheel_graph(n: int) -> Graph:
     """Cycle on 0..n-2 plus a dominating hub n-1."""
-    if n < 4:
-        raise FamilyError("wheel needs n >= 4")
+    _check_size("wheel", "n", n, 4)
     rim = n - 1
     edges = [(i, (i + 1) % rim) for i in range(rim)]
     edges += [(i, rim) for i in range(rim)]
@@ -431,8 +433,7 @@ def wheel_graph(n: int) -> Graph:
 
 def sun_graph(n: int) -> Graph:
     """The n-sun: cycle 0..n-1 with pendant n+i attached to i (2n vertices)."""
-    if n < 3:
-        raise FamilyError("sun needs n >= 3")
+    _check_size("sun", "n", n, 3)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
     return Graph.from_edges(2 * n, edges)
@@ -440,8 +441,8 @@ def sun_graph(n: int) -> Graph:
 
 def generalized_star(legs: int = 3, leg_length: int = 2) -> Graph:
     """Center 0 with ``legs`` paths of ``leg_length`` edges chained off it."""
-    if legs < 1 or leg_length < 1:
-        raise FamilyError("generalized star needs legs >= 1 and leg_length >= 1")
+    _check_size("generalized star", "legs", legs, 1)
+    _check_size("generalized star", "leg_length", leg_length, 1)
     edges = []
     v = 1
     for _ in range(legs):
@@ -460,10 +461,8 @@ def unicyclic_family(path_length: int = 5, chord_path_length: int = 2) -> Graph:
     throughout the test corpus.
     """
     p, c = path_length, chord_path_length
-    if p < 5:
-        raise FamilyError("unicyclic family needs path_length >= 5")
-    if c < 2:
-        raise FamilyError("unicyclic family needs chord_path_length >= 2")
+    _check_size("unicyclic family", "path_length", p, 5)
+    _check_size("unicyclic family", "chord_path_length", c, 2)
     edges = [(i, i + 1) for i in range(p - 1)]
     prev = 1
     for k in range(c - 1):

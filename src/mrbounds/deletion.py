@@ -104,45 +104,41 @@ def _suffix_degrees(adj, vs, limit: int) -> list[list[int]]:
     return suffix
 
 
-def _deletion_sets(adj, vs, q: int, edges: int, suffix):
-    """Yield (S, e(K)) for the q-subsets S of ``vs`` in lex order, as masks,
+def _deletion_sets(adj, vs, q: int, edges: int, suffix) -> list[tuple[int, int]]:
+    """[(S, e(K))] for the q-subsets S of ``vs`` in lex order, as masks,
     where K is the rest of ``vs`` and ``edges`` = e(vs).
 
-    The walk is depth first and carries S and e(K) as it goes: deleting v
-    takes off the edges v still has into K.  A prefix is dropped with all
-    its completions when even the r largest degrees among the candidates
-    left (``suffix`` from _suffix_degrees), r = q minus the prefix size,
-    leave e(K) >= |K| > 0: those kept sets all have a cycle.  At the root
-    this skips the whole size, and at a full set it rejects that set.  The
-    sets that remain come in the same order as itertools.combinations.
+    The list holds one size's sets, at most core.SEARCH_MAX_SETS by _walk's
+    work cap.  The walk recurses over prefixes and carries S and e(K):
+    deleting v takes off the edges v still has into K.  A level stops at the
+    first candidate vs[i] where even the r largest degrees among vs[i:]
+    (``suffix`` from _suffix_degrees), r = the choices left, leave e(K) >=
+    |K| > 0: their kept sets, and those of every later candidate, have a
+    cycle.  At the root this skips the whole size.  The last choice appends
+    its set in the loop, if e(K) stays below that bound, which saves one
+    call per set.  The sets come in the same order as itertools.combinations.
     """
     nc = len(vs)
     # a kept set with this many edges has a cycle; the empty kept set has none
     cyclic = max(nc - q, 1)
-    chosen = [0] * q  # chosen[j]: the index in vs of the j-th vertex of S
-    s_at = [0] * (q + 1)  # S and e(K) after the first j choices
-    e_at = [edges] * (q + 1)
-    j = i = 0  # j vertices chosen, the next candidate is vs[i]
-    while True:
-        r = q - j
-        e = e_at[j]
-        if nc - i >= r and e - suffix[i][r] < cyclic:
-            if not r:
-                yield s_at[j], e
-            else:
-                v = vs[i]
-                s = s_at[j]
-                chosen[j] = i
-                j += 1
-                i += 1
-                s_at[j] = s | 1 << v
-                e_at[j] = e - (adj[v] & ~s).bit_count()
-                continue
-        # this prefix is exhausted: move its last vertex on
-        if not j:
-            return
-        j -= 1
-        i = chosen[j] + 1
+    if not q:
+        return [(0, edges)] if edges < cyclic else []
+    out = []
+
+    def extend(j: int, r: int, s: int, e: int) -> None:
+        # S = s so far, r more vertices to choose from vs[j:]
+        for i in range(j, nc - r + 1):
+            if e - suffix[i][r] >= cyclic:
+                return
+            v = vs[i]
+            kept = e - (adj[v] & ~s).bit_count()
+            if r > 1:
+                extend(i + 1, r - 1, s | 1 << v, kept)
+            elif kept < cyclic:
+                out.append((s | 1 << v, kept))
+
+    extend(0, q, 0, edges)
+    return out
 
 
 # The walk's records by name: (minimize, linear forests only).

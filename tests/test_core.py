@@ -327,6 +327,34 @@ class TestFamilies:
             with pytest.raises(FamilyError):
                 mb.generate_family(alias)
 
+    # (builder, its size parameter, kind, that parameter's name in
+    # generate_family, None where n sets it)
+    SIZES = [
+        (mb.path_graph, "n", "path", None),
+        (mb.cycle_graph, "n", "cycle", None),
+        (mb.star_graph, "n", "star", None),
+        (mb.complete_graph, "n", "complete", None),
+        (mb.wheel_graph, "n", "wheel", None),
+        (mb.sun_graph, "n", "sun", None),
+        (mb.generalized_star, "legs", "genstar", "legs"),
+        (mb.generalized_star, "leg_length", "genstar", "leg_length"),
+        (mb.unicyclic_family, "path_length", "unicyclic", None),
+        (mb.unicyclic_family, "chord_path_length", "unicyclic", "chord_path_length"),
+    ]
+
+    @pytest.mark.parametrize("size", [6.0, 2.5, True, "6"])
+    @pytest.mark.parametrize("builder, name, kind, keyword", SIZES,
+                             ids=[f"{kind}-{name}" for _, name, kind, _ in SIZES])
+    def test_sizes_must_be_ints(self, builder, name, kind, keyword, size):
+        # a bool is not an int here, as in Graph
+        with pytest.raises(FamilyError, match=f"needs an int {name} "):
+            builder(**{name: size})
+        with pytest.raises(FamilyError, match=f"needs an int {name} "):
+            if keyword is None:
+                mb.generate_family(kind, size)
+            else:
+                mb.generate_family(kind, **{keyword: size})
+
     @pytest.mark.parametrize("kind", ["fig1", "fig3", "fig4"])
     def test_fixed_kinds_take_no_extra_parameters(self, kind):
         assert mb.generate_family(kind, 6) == mb.generate_family(kind)  # n is ignored

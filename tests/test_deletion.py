@@ -8,7 +8,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph, deletion
-from mrbounds.core import _bits, _decomposition_of_mask, _edge_count, _mask_of
+from mrbounds.core import _bits, _decomposition_of_mask, _edge_count, _level_bfs, _mask_of
 from mrbounds.deletion import (
     DeletionError,
     _deletion_sets,
@@ -257,20 +257,29 @@ class TestDeltaValues:
 
 
 class TestDeletionSetWalk:
-    """_deletion_sets against itertools.combinations on whole graphs."""
+    """_deletion_sets against itertools.combinations, on whole graphs and on
+    the components _component_walk passes it."""
 
     @staticmethod
-    def walk(g, q):
-        vs = tuple(range(g.n))
-        return list(_deletion_sets(g.adj, vs, q, g.m, _suffix_degrees(g.adj, vs, q)))
+    def walk(g, q, vs=None, limit=None):
+        # vs defaults to the whole graph, and the suffix table's limit to q
+        vs = tuple(range(g.n)) if vs is None else vs
+        edges = _edge_count(g.adj, _mask_of(vs))
+        return _deletion_sets(g.adj, vs, q, edges, _suffix_degrees(g.adj, vs, q if limit is None else limit))
 
     @staticmethod
-    def combinations(g, q):
+    def combinations(g, q, vs=None):
+        vs = tuple(range(g.n)) if vs is None else vs
         out = []
-        for sub in itertools.combinations(range(g.n), q):
+        for sub in itertools.combinations(vs, q):
             s = _mask_of(sub)
-            out.append((s, _edge_count(g.adj, ((1 << g.n) - 1) & ~s)))
+            out.append((s, _edge_count(g.adj, _mask_of(vs) & ~s)))
         return out
+
+    def kept(self, g, q, vs=None):
+        # the sets whose kept part K has e(K) < |K|, or K empty, in lex order
+        nc = g.n if vs is None else len(vs)
+        return [(s, e) for s, e in self.combinations(g, q, vs) if e < max(nc - q, 1)]
 
     def test_lex_order_when_no_prune_fires(self, rng):
         # every kept set of a forest is a forest, so nothing is pruned
@@ -280,12 +289,30 @@ class TestDeletionSetWalk:
                 assert self.walk(g, q) == self.combinations(g, q), (g.graph6(), q)
 
     def test_prunes_exactly_the_cyclic_edge_counts(self, rng):
-        # the walk keeps a set iff e(K) < |K| or K is empty, in lex order
         graphs = [mb.complete_graph(6), mb.wheel_graph(7)] + [random_graph(9, p, rng) for p in (0.3, 0.5, 0.8)]
         for g in graphs:
             for q in range(g.n + 1):
-                keep = [(s, e) for s, e in self.combinations(g, q) if e < max(g.n - q, 1)]
-                assert self.walk(g, q) == keep, (g.graph6(), q)
+                assert self.walk(g, q) == self.kept(g, q), (g.graph6(), q)
+
+    def test_random_graphs(self):
+        rng = random.Random(20261019)
+        for k in range(30):
+            g = random_graph(10 + k % 4, (0.2, 0.35, 0.6)[k % 3], rng)
+            for q in range(g.n + 1):
+                assert self.walk(g, q) == self.kept(g, q), (g.graph6(), q)
+
+    def test_components_as_the_component_walk_passes_them(self, rng):
+        # each component of a union with interleaved labels, read through
+        # the whole graph's adj, with the suffix table built up to the
+        # component size as _component_walk builds it for delta_plus; a q
+        # past the component size gives no sets
+        for _ in range(10):
+            g = interleaved_union(rng)
+            for comp in _level_bfs(g.adj, (1 << g.n) - 1)[1]:
+                vs = tuple(_bits(comp))
+                for q in range(len(vs) + 3):
+                    assert self.walk(g, q, vs, len(vs)) == self.kept(g, q, vs), (g.graph6(), vs, q)
+                assert self.walk(g, len(vs) + 1, vs, len(vs)) == []
 
     def test_suffix_table(self):
         g = mb.star_graph(5)  # centre 0 of degree 4, leaves of degree 1

@@ -102,6 +102,31 @@ class TestComputeReport:
             assert (r.t_minus, r.t_plus, r.z) == (1, 1, 1)
             assert r.chain_ok and r.m_exact == 1
 
+    def test_relabeling_keeps_values_and_witnesses(self):
+        # every value of a relabeled graph is G's, and each of its witnesses,
+        # mapped back into G, scores that value there
+        rng = random.Random(20261019)
+        fields = [f.name for f in dataclasses.fields(mb.ParameterReport) if f.name not in ("graph6", "witnesses")]
+        for k in range(120):
+            n = 9 + k % 5
+            g = random_graph(n, (0.2, 0.35, 0.6)[k % 3], rng)
+            perm = list(range(n))
+            rng.shuffle(perm)  # vertex v of g is perm[v] of h
+            h = mb.Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+            r, rh = mb.compute_report(g), mb.compute_report(h)
+            assert [getattr(rh, f) for f in fields] == [getattr(r, f) for f in fields], g.graph6()
+            back = {key: frozenset(perm.index(v) for v in s) for key, s in rh.witnesses.items()}
+            for key, sign in (("t_minus", -1), ("t_plus", 1)):
+                forest = mb.delete_vertices(g, back[key])[0]
+                assert mb.classify(forest).is_forest, (g.graph6(), key)
+                assert mb.min_path_cover(forest).size + sign * len(back[key]) == getattr(r, key), (g.graph6(), key)
+            for key, sign in (("delta", -1), ("delta_plus", 1)):
+                paths = mb.classify(mb.delete_vertices(g, back[key])[0])
+                assert paths.is_linear_forest, (g.graph6(), key)
+                assert paths.p + sign * len(back[key]) == getattr(r, key), (g.graph6(), key)
+            assert len(back["z"]) == r.z, g.graph6()
+            assert mb.forcing_closure(g, back["z"]).forces_all(n), g.graph6()
+
 
 def _equivalence_graphs():
     graphs = [mb.cycle_graph(n) for n in range(4, 9)]
