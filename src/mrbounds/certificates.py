@@ -15,10 +15,11 @@ run without it.
 
 The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
-rules hold wherever an argument is taken or loaded: r an int in 0..n, tol
-non-negative and finite, delta positive and finite.  A breach raises
-CertificateError, and verify_certificate returns False.  certificate_search
-also takes its counts as ints, not bools: restarts >= 1 and max_iter >= 0.
+rules hold wherever an argument is taken or loaded: tol non-negative and
+finite, delta positive and finite, and the int rule (core._check_int) for r
+in 0..n, certificate_search's restarts >= 1 and max_iter >= 0 and the seed
+>= 0 of sample_pattern, certificate_search and m_sandwich.  A breach raises
+CertificateError, and verify_certificate returns False.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .core import Graph, _is_forest_mask, parse_graph6
+from .core import Graph, _check_int, _is_forest_mask, parse_graph6
 from .deletion import _search
 # _t_minus_op, _t_plus_op and _delta_plus_op are unused here; they stay module
 # attributes only for perfbench/tracing.py and tests/test_trace_sites.py
@@ -96,16 +97,6 @@ class CertificateError(ValueError):
 
 class CertificateConflict(CertificateError):
     """Bounds that contradict each other: a verification failure, not bad input."""
-
-
-def _check_rank(r: int, n: int) -> None:
-    if type(r) is not int or not 0 <= r <= n:
-        raise CertificateError(f"rank target {r!r} is not an int in 0..{n}")
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    if type(value) is not int or value < least:
-        raise CertificateError(f"{name}={value!r} is not an int >= {least}")
 
 
 def _check_tol(tol: float) -> None:
@@ -204,6 +195,7 @@ def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> Pattern
     diagonal uniform over [-1, 1].  Deterministic for a fixed seed; draws
     happen in vertex order for the diagonal, then sorted edge order."""
     _check_delta(delta)
+    _check_int("seed", seed, 0, error=CertificateError)
     rng = np.random.default_rng(seed)
     a = np.zeros((g.n, g.n))
     np.fill_diagonal(a, rng.uniform(-1.0, 1.0, g.n))
@@ -230,7 +222,7 @@ def project_rank(m: np.ndarray, r: int) -> np.ndarray:
     """Nearest (Frobenius) symmetric matrix of rank <= r: spectral
     truncation keeping the r eigenvalues of largest magnitude."""
     m = np.asarray(m, dtype=float)
-    _check_rank(r, m.shape[0])
+    _check_int("r", r, 0, m.shape[0], CertificateError)
     if r == m.shape[0]:
         return m.copy()
     lam, q = np.linalg.eigh(m)
@@ -375,11 +367,12 @@ def certificate_search(
     iterate seen anywhere; rejected polish results are never reported.
     """
     n = g.n
-    _check_rank(r, n)
+    _check_int("r", r, 0, n, CertificateError)
     _check_tol(tol)
     _check_delta(delta)
-    _check_count("restarts", restarts, 1)
-    _check_count("max_iter", max_iter, 0)
+    _check_int("restarts", restarts, 1, error=CertificateError)
+    _check_int("max_iter", max_iter, 0, error=CertificateError)
+    _check_int("seed", seed, 0, error=CertificateError)
     rows, cols = _edge_arrays(g)
     best_rel = np.inf
     best: tuple[np.ndarray, np.ndarray, int] | None = None
@@ -433,7 +426,7 @@ def verify_certificate(c: RankCertificate) -> bool:
     """
     try:
         c.matrix.validate()
-        _check_rank(c.r, c.matrix.graph.n)
+        _check_int("r", c.r, 0, c.matrix.graph.n, CertificateError)
         _check_tol(c.tol)
     except CertificateError:
         return False
@@ -492,6 +485,7 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     walk gives t_minus, t_plus and delta_plus.  ``m_exact`` is set as
     MSandwich says.
     """
+    _check_int("seed", seed, 0, error=CertificateError)
     tm, tp, dp = (w.value for w in _search(g, ("t_minus", "t_plus", "delta_plus")))
     z, _ = zero_forcing_number(g)
     return _sandwich(g, tm, z, tp, dp, numeric=numeric, seed=seed)
@@ -573,7 +567,7 @@ def certificate_from_json(text: str) -> RankCertificate:
         except OverflowError:
             raise CertificateError(f"certificate {key} holds an integer too large for a float") from None
     sigma, tol, delta = floats["sigma"].tolist(), float(floats["tol"]), float(floats["delta"])
-    _check_rank(d["r"], g.n)
+    _check_int("r", d["r"], 0, g.n, CertificateError)
     _check_tol(tol)
     _check_delta(delta)
     if not all(0 <= x < math.inf for x in sigma) or any(a < b for a, b in zip(sigma, sigma[1:])):

@@ -46,6 +46,16 @@ def _check_work(nc: int, work: int, sets: str, error: type[ValueError]) -> None:
         raise error(f"{nc}-vertex component needs {work} {sets}, over 2^{SEARCH_MAX_SETS.bit_length() - 1}")
 
 
+def _check_int(what: str, value, least: int, most: int | None = None,
+               error: type[ValueError] = ValueError) -> None:
+    """The int rule of every integer argument: raise ``error`` unless
+    ``value`` is an int (a bool is not) in least..most, or at least
+    ``least`` when ``most`` is None."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        bounds = f"{what} >= {least}" if most is None else f"{least} <= {what} <= {most}"
+        raise error(f"{what} is {value!r}, not an int with {bounds}")
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input or unsupported size.
 
@@ -69,8 +79,9 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``edges`` holds sorted pairs (i, j) with i < j; no loops, no multi-edges.
-    Each endpoint is an int (a bool is not), as in _vertex_set.  Construct
-    through :meth:`from_edges`, which normalizes and validates.
+    ``n`` follows the int rule (_check_int); each edge is checked as a pair
+    of ints (a bool is not) in 0..n-1.  Construct through :meth:`from_edges`,
+    which normalizes and validates.
     """
 
     n: int
@@ -78,8 +89,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.n
-        if type(n) is not int or n < 0:
-            raise ValueError(f"vertex count {n!r} is not a non-negative int")
+        _check_int("vertex count", n, 0)
         for u, v in self.edges:
             if not (type(u) is int is type(v) and 0 <= u < v < n):
                 raise ValueError(f"edge ({u!r}, {v!r}) is not a sorted pair of ints in 0..{n - 1}")
@@ -111,9 +121,11 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
+        _check_int("vertex", v, 0, self.n - 1)
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_int("vertex", v, 0, self.n - 1)
         return tuple(_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -282,12 +294,11 @@ def classify(g: Graph) -> ForestDecomposition:
 
 
 def _vertex_set(g: Graph, vertices, error: type[ValueError] = ValueError) -> frozenset[int]:
-    """``vertices`` as a frozenset of g's vertices.  Each must be an int (a
-    bool is not) in 0..n-1; any other raises ``error``."""
+    """``vertices`` as a frozenset of g's vertices, each an int in 0..n-1;
+    any other raises ``error``."""
     s = frozenset(vertices)
     for v in s:
-        if type(v) is not int or not 0 <= v < g.n:
-            raise error(f"vertex {v!r} is not an int in 0..{g.n - 1}")
+        _check_int("vertex", v, 0, g.n - 1, error)
     return s
 
 
@@ -395,37 +406,30 @@ def parse_graph6(text: bytes | str) -> Graph:
 # stars have center 0; wheels have the hub last; suns put the pendant of
 # cycle vertex i at n+i; generalized stars chain each leg consecutively.
 
-def _check_size(kind: str, name: str, value, least: int) -> None:
-    """FamilyError unless ``value`` is an int (a bool is not), as in
-    Graph, and at least ``least``."""
-    if type(value) is not int or value < least:
-        raise FamilyError(f"{kind} needs an int {name} >= {least}, got {value!r}")
-
-
 def path_graph(n: int) -> Graph:
-    _check_size("path", "n", n, 0)
+    _check_int("n", n, 0, error=FamilyError)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_size("cycle", "n", n, 3)
+    _check_int("n", n, 3, error=FamilyError)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1} with center 0."""
-    _check_size("star", "n", n, 2)
+    _check_int("n", n, 2, error=FamilyError)
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> Graph:
-    _check_size("complete graph", "n", n, 0)
+    _check_int("n", n, 0, error=FamilyError)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def wheel_graph(n: int) -> Graph:
     """Cycle on 0..n-2 plus a dominating hub n-1."""
-    _check_size("wheel", "n", n, 4)
+    _check_int("n", n, 4, error=FamilyError)
     rim = n - 1
     edges = [(i, (i + 1) % rim) for i in range(rim)]
     edges += [(i, rim) for i in range(rim)]
@@ -433,7 +437,7 @@ def wheel_graph(n: int) -> Graph:
 
 def sun_graph(n: int) -> Graph:
     """The n-sun: cycle 0..n-1 with pendant n+i attached to i (2n vertices)."""
-    _check_size("sun", "n", n, 3)
+    _check_int("n", n, 3, error=FamilyError)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
     return Graph.from_edges(2 * n, edges)
@@ -441,8 +445,8 @@ def sun_graph(n: int) -> Graph:
 
 def generalized_star(legs: int = 3, leg_length: int = 2) -> Graph:
     """Center 0 with ``legs`` paths of ``leg_length`` edges chained off it."""
-    _check_size("generalized star", "legs", legs, 1)
-    _check_size("generalized star", "leg_length", leg_length, 1)
+    _check_int("legs", legs, 1, error=FamilyError)
+    _check_int("leg_length", leg_length, 1, error=FamilyError)
     edges = []
     v = 1
     for _ in range(legs):
@@ -461,8 +465,8 @@ def unicyclic_family(path_length: int = 5, chord_path_length: int = 2) -> Graph:
     throughout the test corpus.
     """
     p, c = path_length, chord_path_length
-    _check_size("unicyclic family", "path_length", p, 5)
-    _check_size("unicyclic family", "chord_path_length", c, 2)
+    _check_int("path_length", p, 5, error=FamilyError)
+    _check_int("chord_path_length", c, 2, error=FamilyError)
     edges = [(i, i + 1) for i in range(p - 1)]
     prev = 1
     for k in range(c - 1):

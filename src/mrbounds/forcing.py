@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Graph, _bits, _check_work, _isolate, _level_bfs, _mask_of, _vertex_set
+from .core import Graph, _bits, _check_work, _is_forest_mask, _isolate, _level_bfs, _mask_of, _vertex_set
 from .deletion import DeletionWitness
 from .pathcover import min_path_cover
 
@@ -213,14 +213,16 @@ def forcing_set_from_tplus(g: Graph, w: DeletionWitness) -> frozenset[int]:
 
     In G, S is colored from the start, so an edge into S never blocks a
     force, and the forces of F = G - S (S isolated) run in G as well.  The
-    closure check below is a soundness check.  A witness whose ``value`` is
-    not P(G - S) + |S| raises ForcingError.
+    closure check below is a soundness check.  A witness whose S leaves no
+    forest in g (whatever its ``decomposition`` says), or whose ``value`` is
+    not P(G - S) + |S|, raises ForcingError.
     """
     if w.parameter != "t_plus":
         raise ForcingError(f"witness is for {w.parameter!r}, need t_plus")
-    if not w.decomposition.is_forest:
-        raise ForcingError("witness deletion does not leave a forest")
-    chosen = _mask_of(min(p[0], p[-1]) for p in min_path_cover(_isolate(g, w.s)).paths)
+    forest = _isolate(g, w.s)
+    if not _is_forest_mask(forest.adj, (1 << g.n) - 1):
+        raise ForcingError("deleting the witness set does not leave a forest")
+    chosen = _mask_of(min(p[0], p[-1]) for p in min_path_cover(forest).paths)
     if chosen.bit_count() != w.value:
         raise ForcingError(f"{chosen.bit_count()} path ends, but the witness claims t_plus = {w.value}")
     if _closure_mask(g.adj, chosen) != (1 << g.n) - 1:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _enumerated_graph, _is_forest_mask, _level_bfs, parse_graph6
+from .core import Graph, _check_int, _enumerated_graph, _is_forest_mask, _level_bfs, parse_graph6
 from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
@@ -112,7 +112,8 @@ class ParameterReport:
                 unknown = w.keys() - set(_WITNESS_KEYS)
                 if unknown:
                     raise ValueError(f"witnesses has unknown keys {sorted(unknown)}")
-                if any(type(v) is not list or any(type(x) is not int for x in v) for v in w.values()):
+                if any(type(v) is not list or any(type(x) not in _JSON_TYPES["int"] for x in v)
+                       for v in w.values()):
                     raise TypeError(f"witnesses {w!r} are not lists of ints")
                 n = kwargs["n"]
                 if any(v != sorted(set(v)) or v and (v[0] < 0 or v[-1] >= n) for v in w.values()):
@@ -174,8 +175,7 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
     int pairs, so each graph skips the per-edge check of ``Graph``
     (core._enumerated_graph).
     """
-    if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"labeled enumeration supports an int 0 <= n <= {ENUMERATION_MAX_N}, not {n!r}")
+    _check_int("n", n, 0, ENUMERATION_MAX_N)
     return _labeled_graphs(n, connected_only)
 
 
@@ -322,8 +322,7 @@ def verify_chain_corpus(max_n: int, connected_only: bool = False) -> list[dict]:
     (2^21 labeled graphs, 1044 classes); any other max_n, or one that is
     not an int (a bool is not), raises ValueError.
     """
-    if type(max_n) is not int or not 1 <= max_n <= ENUMERATION_MAX_N:
-        raise ValueError(f"need an int 1 <= max_n <= {ENUMERATION_MAX_N}, not {max_n!r}")
+    _check_int("max_n", max_n, 1, ENUMERATION_MAX_N)
     violations = []
     for n in range(1, max_n + 1):
         failing: list[bool] = []  # per class, does its first member violate?
@@ -360,8 +359,7 @@ def survey_open_questions(max_n: int) -> dict:
     are computed once per isomorphism class.  Place any other graph with
     compute_report.  max_n must be an int in 1..6.
     """
-    if type(max_n) is not int or not 1 <= max_n <= 6:
-        raise ValueError(f"survey needs an int 1 <= max_n <= 6, not {max_n!r}")
+    _check_int("max_n", max_n, 1, 6)
     lists = {name: ([], []) for name in _SURVEY_CLASSES}  # (equal, strict)
     for n in range(1, max_n + 1):
         class_flags: list[list[bool]] = []

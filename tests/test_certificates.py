@@ -117,7 +117,7 @@ class TestProjectRank:
         with pytest.raises(mb.CertificateError):
             mb.project_rank(np.eye(3), -1)
 
-    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
     def test_non_int_rank_rejected(self, r):
         with pytest.raises(mb.CertificateError, match="not an int"):
             mb.project_rank(np.eye(3), r)
@@ -191,16 +191,34 @@ class TestCertificateSearch:
         ("restarts", 1.5),
         ("restarts", True),
         ("restarts", 0),
+        ("restarts", 2.0),
+        ("restarts", "2"),
         ("max_iter", 2.5),
         ("max_iter", True),
         ("max_iter", -1),
+        ("max_iter", 2.0),
+        ("max_iter", "2"),
+        ("seed", None),
+        ("seed", True),
+        ("seed", 1.5),
+        ("seed", 2.0),
+        ("seed", "2"),
+        ("seed", "3"),
+        ("seed", -1),
     ])
     def test_bad_count_rejected(self, key, value):
-        # a float count would reach range() as a TypeError, and a bool would run as 1
+        # a float count would reach range() as a TypeError, and a bool would run
+        # as 1; a seed of None would draw an unseeded, unreproducible matrix
+        g = mb.path_graph(3)
         with pytest.raises(mb.CertificateError, match=key):
-            mb.certificate_search(mb.path_graph(3), 1, **{key: value})
+            mb.certificate_search(g, 1, **{key: value})
+        if key == "seed":
+            # m_sandwich checks its seed even on a forest, where no search runs
+            for call in (lambda: mb.sample_pattern(g, value), lambda: mb.m_sandwich(g, seed=value)):
+                with pytest.raises(mb.CertificateError, match=key):
+                    call()
 
-    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
     def test_non_int_rank_rejected(self, r):
         with pytest.raises(mb.CertificateError, match="not an int"):
             mb.certificate_search(mb.path_graph(3), r)
@@ -269,7 +287,7 @@ class TestVerifyCertificate:
         forged = mb.RankCertificate(c.matrix, c.r, c.sigma, tol, True, c.iterations)
         assert not mb.verify_certificate(forged)
 
-    @pytest.mark.parametrize("r", [1.5, True, 2.0])
+    @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
     def test_non_int_rank_never_verifies(self, r):
         c = mb.certificate_search(mb.path_graph(3), 2)
         assert mb.verify_certificate(c)

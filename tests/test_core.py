@@ -26,7 +26,7 @@ class TestGraph:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph(2, frozenset({(1, 0)}))  # unsorted pair
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="not an int with vertex count >= 0"):
             Graph(-1, frozenset())
 
     @pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 2), (True, 2), (0, False), ("0", 1), (0, "2")])
@@ -106,9 +106,12 @@ class TestDeleteVertices:
     (mb.delete_vertices, ValueError),
     (mb.forcing_closure, ValueError),
     (mb.reduce_optimal_set, mb.DeletionError),
-], ids=["delete_vertices", "forcing_closure", "reduce_optimal_set"])
+    (lambda g, vs: g.degree(*vs), ValueError),
+    (lambda g, vs: g.neighbors(*vs), ValueError),
+], ids=["delete_vertices", "forcing_closure", "reduce_optimal_set", "degree", "neighbors"])
 def test_vertex_set_rule(call, error, v):
-    # each vertex is an int, not a bool, in 0..n-1, on C4 (n = 4)
+    # each vertex is an int, not a bool, in 0..n-1, on C4 (n = 4); as a
+    # tuple index, -1 would reach the last vertex and n raise IndexError
     with pytest.raises(error) as exc:
         call(mb.cycle_graph(4), [v])
     assert exc.type is error
@@ -347,9 +350,9 @@ class TestFamilies:
                              ids=[f"{kind}-{name}" for _, name, kind, _ in SIZES])
     def test_sizes_must_be_ints(self, builder, name, kind, keyword, size):
         # a bool is not an int here, as in Graph
-        with pytest.raises(FamilyError, match=f"needs an int {name} "):
+        with pytest.raises(FamilyError, match=f"not an int with {name} >= "):
             builder(**{name: size})
-        with pytest.raises(FamilyError, match=f"needs an int {name} "):
+        with pytest.raises(FamilyError, match=f"not an int with {name} >= "):
             if keyword is None:
                 mb.generate_family(kind, size)
             else:

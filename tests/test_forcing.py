@@ -239,14 +239,22 @@ class TestForcingSetFromTplus:
 
     @pytest.mark.parametrize("s,error", [
         ({9}, ValueError),  # out of range for n = 5
-        ({0}, mb.PathCoverError),  # leaves the cycle 1-2-3-4 while claiming a forest
+        ({0}, mb.ForcingError),  # leaves the cycle 1-2-3-4 while claiming a forest
     ], ids=["out-of-range", "cyclic"])
     def test_malformed_witness_keeps_its_error(self, s, error):
         g = mb.wheel_graph(5)
         w = mb.t_plus(g)
         with pytest.raises(error) as exc:
             mb.forcing_set_from_tplus(g, mb.DeletionWitness("t_plus", frozenset(s), w.value, w.decomposition, 1))
-        assert exc.type is error  # not a ForcingError, which is a ValueError too
+        assert exc.type is error  # exactly: a ForcingError is a ValueError too
+
+    def test_forest_is_tested_on_the_graph(self):
+        # S = {} on C4 with P4's forest decomposition: the witness's own
+        # decomposition says forest, but C4 - S is the cycle itself
+        g = mb.cycle_graph(4)
+        forged = mb.DeletionWitness("t_plus", frozenset(), 1, mb.t_plus(mb.path_graph(4)).decomposition, 1)
+        with pytest.raises(mb.ForcingError, match="does not leave a forest"):
+            mb.forcing_set_from_tplus(g, forged)
 
     def test_witness_value_is_checked(self):
         # on P4, S = {1, 2} leaves P(G - S) + |S| = 4, not the claimed 1

@@ -362,12 +362,15 @@ class TestVerifyChainCorpus:
     @pytest.mark.parametrize("call", [
         lambda: mb.verify_chain_corpus(True),
         lambda: mb.verify_chain_corpus(2.0),
+        lambda: mb.verify_chain_corpus("2"),
         lambda: mb.survey_open_questions(True),
         lambda: mb.survey_open_questions(2.0),
+        lambda: mb.survey_open_questions("2"),
         lambda: mb.enumerate_small_graphs(True),
         lambda: mb.enumerate_small_graphs(3.0),
-    ], ids=["verify-bool", "verify-float", "survey-bool", "survey-float",
-            "enumerate-bool", "enumerate-float"])
+        lambda: mb.enumerate_small_graphs("2"),
+    ], ids=["verify-bool", "verify-float", "verify-str", "survey-bool", "survey-float", "survey-str",
+            "enumerate-bool", "enumerate-float", "enumerate-str"])
     def test_corpus_size_must_be_an_int(self, call):
         # a bool would sweep n = 1 only, a float would fail inside range()
         with pytest.raises(ValueError, match="an int"):
