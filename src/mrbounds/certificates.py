@@ -137,9 +137,10 @@ class PatternMatrix:
             raise CertificateError(f"entries shape {a.shape} does not match n={n}")
         if not np.array_equal(a, a.T):
             raise CertificateError("entries are not exactly symmetric")
+        adj = self.graph.adj
         for i in range(n):
             for j in range(i + 1, n):
-                if self.graph.has_edge(i, j):
+                if adj[i] >> j & 1:
                     if abs(a[i, j]) < self.delta:
                         raise CertificateError(
                             f"edge entry ({i},{j}) = {a[i, j]} under magnitude {self.delta}"

@@ -1,7 +1,8 @@
-"""Immutable labeled graphs with bitmask adjacency, graph6 io, named families.
+"""Immutable labeled graphs held as edge masks, graph6 io, named families.
 
-Vertices are always 0..n-1.  Adjacency lives in a tuple of int bitmasks so that
-deletion searches, traversals, and subgraph tests stay in plain integer land.
+Vertices are always 0..n-1.  A graph is its edge mask (Graph.mask), and its
+adjacency a tuple of int bitmasks, so that deletion searches, traversals, and
+subgraph tests stay in plain integer land.
 One level BFS (_level_bfs) is the only component traversal: the forest test,
 classify, each search's split into components and the greedy forest path
 cover all read its component masks or its levels.
@@ -74,25 +75,28 @@ class FamilyError(ValueError):
     """Unknown family kind or out-of-range family parameter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """A simple undirected graph on vertices 0..n-1.
+    """A simple undirected graph on vertices 0..n-1, held as its edge mask:
+    bit k of ``mask`` is the k-th pair in (0, 1), (0, 2), ..., (1, 2), ...
 
-    ``edges`` holds sorted pairs (i, j) with i < j; no loops, no multi-edges.
-    ``n`` follows the int rule (_check_int); each edge is checked as a pair
-    of ints (a bool is not) in 0..n-1.  Construct through :meth:`from_edges`,
-    which normalizes and validates.
+    ``edges`` (sorted pairs (i, j), i < j) and ``adj`` are views of the mask.
+    ``Graph(n, edges)`` checks ``n`` by the int rule (_check_int) and each
+    edge as a sorted pair of ints (a bool is not) in 0..n-1; :meth:`from_edges`
+    also takes pairs in either order.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    mask: int
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, edges) -> None:
         _check_int("vertex count", n, 0)
-        for u, v in self.edges:
+        mask = 0
+        for u, v in edges:
             if not (type(u) is int is type(v) and 0 <= u < v < n):
                 raise ValueError(f"edge ({u!r}, {v!r}) is not a sorted pair of ints in 0..{n - 1}")
+            mask |= 1 << u * n - u * (u + 3) // 2 + v - 1  # row u starts at bit u n - u (u + 1) / 2
+        self.__dict__.update(n=n, mask=mask)
 
     @staticmethod
     def from_edges(n: int, edges=()) -> "Graph":
@@ -105,20 +109,28 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
-        return Graph(n, frozenset(norm))
+        return Graph(n, norm)
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """Bitmask neighborhoods: bit v of adj[u] is set iff {u, v} is an edge."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        n, rest = self.n, self.mask
+        masks = [0] * n
+        for u in range(n):
+            above = (rest & (1 << n - 1 - u) - 1) << u + 1  # pairs (u, u + 1), ..., (u, n - 1)
+            rest >>= n - 1 - u
+            masks[u] |= above
+            for v in _bits(above):
+                masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, a in enumerate(self.adj) for v in _bits(a >> u + 1 << u + 1))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.mask.bit_count()
 
     def degree(self, v: int) -> int:
         _check_int("vertex", v, 0, self.n - 1)
@@ -129,24 +141,21 @@ class Graph:
         return tuple(_bits(self.adj[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        _check_int("vertex", u, 0, self.n - 1)
+        _check_int("vertex", v, 0, self.n - 1)
+        return bool(self.adj[u] >> v & 1)
 
     def graph6(self) -> str:
         return emit_graph6(self).decode("ascii")
 
 
-def _enumerated_graph(n: int, edges: frozenset[tuple[int, int]]) -> Graph:
-    """Graph(n, edges) without __post_init__'s per-edge check, for
-    reports.enumerate_small_graphs only.  The check always holds there: n is
-    an int in 0..7 checked once per call, and each edge set is a union of
-    that function's own int pairs (i, j), 0 <= i < j < n.
-    """
+def _enumerated_graph(n: int, mask: int) -> Graph:
+    """The Graph with fields n and mask, unchecked, for enumerate_small_graphs,
+    which checks n once per call and draws each mask below 2^(n(n-1)/2)."""
     g = object.__new__(Graph)
     d = g.__dict__
     d["n"] = n
-    d["edges"] = edges
+    d["mask"] = mask
     return g
 
 
@@ -305,7 +314,7 @@ def _vertex_set(g: Graph, vertices, error: type[ValueError] = ValueError) -> fro
 def _isolate(g: Graph, s) -> Graph:
     """G - S on g's own vertex set: each vertex of ``s`` is left isolated."""
     s = _vertex_set(g, s)
-    return Graph(g.n, frozenset(e for e in g.edges if e[0] not in s and e[1] not in s))
+    return Graph(g.n, [e for e in g.edges if e[0] not in s and e[1] not in s])
 
 
 def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:

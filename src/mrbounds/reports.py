@@ -20,7 +20,6 @@ import json
 import sys
 from array import array
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import chain
 from typing import Iterable, Iterator
 
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
@@ -146,56 +145,45 @@ REPORT_CSV_HEADER = ",".join(
 # ---------------------------------------------------------------------------
 # corpus enumeration
 
-def _byte_tables(empty, items) -> list[list]:
-    """Three lookup tables for masks over ``items`` (at most 24 of them, so
-    21 edge bits at n = 7 fit): entry x of table b is the union (|), over
-    ``empty``, of items[8 b + i] for each bit i set in x.  A mask looks up
-    as lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16]; entry 0 of
-    each table is ``empty``, so a table the mask's set bits do not reach
-    may be left out of the union.  Item k doubles table k // 8, so a table
-    holds 2^b entries for its b items.
+def _byte_tables(items: list[int]) -> list[list[int]]:
+    """Three lookup tables for masks over ``items`` (at most 24 bit masks,
+    so 21 edge bits at n = 7 fit): entry x of table b is the union (|) of
+    items[8 b + i] for each bit i set in x, so a mask looks up as
+    lo[mask & 255] | mid[mask >> 8 & 255] | hi[mask >> 16].  Item k doubles
+    table k // 8, so a table holds 2^b entries for its b items.
     """
-    tables = [[empty], [empty], [empty]]
+    tables = [[0], [0], [0]]
     for k, item in enumerate(items):
         tables[k // 8] += [x | item for x in tables[k // 8]]
     return tables
 
 
 def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """All labeled graphs on exactly n vertices, ascending by edge bitmask:
-    bit k of the mask is the edge ``pairs[k]``, (0, 1), (0, 2), ..., (1, 2), ...
+    """All labeled graphs on exactly n vertices, ascending by edge mask
+    (Graph.mask): bit k of the mask is the k-th pair in (0, 1), (0, 2), ...,
+    (1, 2), ..., so a graph's position is its mask.
 
     Capped at n = 7 (2^21 graphs); no isomorphism reduction.  ``n`` is
     checked here, when the function is called, and the graphs come from the
-    generator it returns.  Edge sets come from _byte_tables of frozensets,
-    built once per call, and only from the tables a mask reaches: a mask
-    below 2^8 is its low byte's set, and any other mask one union of that
-    set with the set of its upper bytes, which is built once for each run
-    of 256 masks that share it.  The edge sets are this module's own sorted
-    int pairs, so each graph skips the per-edge check of ``Graph``
-    (core._enumerated_graph).
+    generator it returns.  Each mask is below 2^(n(n-1)/2), so each graph
+    skips the per-edge check of ``Graph`` (core._enumerated_graph).
     """
     _check_int("n", n, 0, ENUMERATION_MAX_N)
     return _labeled_graphs(n, connected_only)
 
 
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lo, mid, hi = _byte_tables(frozenset(), [{pair} for pair in pairs])
-    # the edge set of bytes 1 and 2 of each mask from 2^8 on, ascending
-    upper = chain(mid[1:], (y | z for z in hi[1:] for y in mid))
-    edge_sets = chain(lo, (x | u for u in upper for x in lo))
     full = (1 << n) - 1
-    for edges in edge_sets:
-        g = _enumerated_graph(n, edges)
+    for mask in range(1 << n * (n - 1) // 2):
+        g = _enumerated_graph(n, mask)
         if connected_only and n > 0 and len(_level_bfs(g.adj, full)[1]) != 1:
             continue
         yield g
 
 
 def _isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
-    """Each graph of ``enumerate_small_graphs(n)``, whose position there is its
-    edge mask over ``pairs``, with the index of its isomorphism class.
+    """Each graph of ``enumerate_small_graphs(n)`` with the index of its
+    isomorphism class.
 
     Classes are numbered 0, 1, ... in order of first appearance, so a class
     is new exactly when its index equals the number of classes met so far.
@@ -207,18 +195,19 @@ def _isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
     the rotation k times gives (k k+1), and the adjacent transpositions
     generate the symmetric group.  So the walk marks every relabeling of the
     first member, and, each move being a relabeling, nothing else.  Each
-    move maps an edge mask through its three _byte_tables of image bits.
+    move maps an edge mask (Graph.mask) through its three _byte_tables of
+    image bits.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: k for k, pair in enumerate(pairs)}
     swap, rotation = (1, 0, *range(2, n)), (*range(1, n), 0)
     moves = []
     for p in [swap, rotation] if n > 2 else [swap] if n == 2 else []:
-        image = [1 << index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
-        moves.append(_byte_tables(0, image))
+        image = [Graph.from_edges(n, [(p[a], p[b])]).mask for a, b in pairs]
+        moves.append(_byte_tables(image))
     table = array("H", bytes(2 << len(pairs)))  # 0 = unseen, else class index + 1
     classes = 0
-    for mask, g in enumerate(enumerate_small_graphs(n)):
+    for g in enumerate_small_graphs(n):
+        mask = g.mask
         if not table[mask]:
             classes += 1
             table[mask] = classes

@@ -3,6 +3,7 @@ representatives and the exhaustive deletion reference."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -11,30 +12,39 @@ import pytest
 from mrbounds import Graph, classify, delete_vertices, min_path_cover
 
 
+def pruefer_edges(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
+    """The edge set of the tree with Pruefer sequence ``seq`` (length n-2,
+    entries in 0..n-1), built as a set of sorted pairs in the order the
+    decoding meets them, then frozen.  That fixes the set's iteration order,
+    which tests that draw random numbers while iterating the edges rely on;
+    Graph.edges makes no promise about it."""
+    if n <= 2:
+        edges = [(0, 1)] if n == 2 else []
+    else:
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        leaf_heap = sorted(v for v in range(n) if degree[v] == 1)
+        heapq.heapify(leaf_heap)
+        for v in seq:
+            leaf = heapq.heappop(leaf_heap)
+            edges.append((leaf, v))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(leaf_heap, v)
+        u = heapq.heappop(leaf_heap)
+        w = heapq.heappop(leaf_heap)
+        edges.append((u, w))
+    norm = set()
+    for u, v in edges:
+        norm.add((u, v) if u < v else (v, u))
+    return frozenset(norm)
+
+
 def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
     """Decode a Pruefer sequence (length n-2, entries in 0..n-1) to a tree."""
-    if n == 1:
-        return Graph.from_edges(1)
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaf_heap = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
-    heapq.heapify(leaf_heap)
-    for v in seq:
-        leaf = heapq.heappop(leaf_heap)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaf_heap, v)
-    u = heapq.heappop(leaf_heap)
-    w = heapq.heappop(leaf_heap)
-    edges.append((u, w))
-    return Graph.from_edges(n, edges)
+    return Graph(n, pruefer_edges(seq, n))
 
 
 def all_labeled_trees(n: int):
@@ -46,9 +56,13 @@ def all_labeled_trees(n: int):
         yield tree_from_pruefer(seq, n)
 
 
+def random_tree_edges(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
+    """pruefer_edges of a random Pruefer sequence."""
+    return pruefer_edges(tuple(rng.randrange(n) for _ in range(max(n - 2, 0))), n)
+
+
 def random_tree(n: int, rng: random.Random) -> Graph:
-    seq = tuple(rng.randrange(n) for _ in range(max(n - 2, 0)))
-    return tree_from_pruefer(seq, n)
+    return Graph(n, random_tree_edges(n, rng))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

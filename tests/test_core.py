@@ -108,7 +108,8 @@ class TestDeleteVertices:
     (mb.reduce_optimal_set, mb.DeletionError),
     (lambda g, vs: g.degree(*vs), ValueError),
     (lambda g, vs: g.neighbors(*vs), ValueError),
-], ids=["delete_vertices", "forcing_closure", "reduce_optimal_set", "degree", "neighbors"])
+    (lambda g, vs: g.has_edge(0, *vs), ValueError),
+], ids=["delete_vertices", "forcing_closure", "reduce_optimal_set", "degree", "neighbors", "has_edge"])
 def test_vertex_set_rule(call, error, v):
     # each vertex is an int, not a bool, in 0..n-1, on C4 (n = 4); as a
     # tuple index, -1 would reach the last vertex and n raise IndexError

@@ -8,7 +8,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds.forcing import _z_value
-from conftest import class_representatives, random_graph, random_tree
+from conftest import class_representatives, random_graph, random_tree, random_tree_edges
 
 FIG4 = mb.generate_family("fig4")
 
@@ -274,8 +274,8 @@ class TestPathCoverEndLemma:
     def test_every_end_choice_forces(self, rng):
         for n in range(1, 41):
             for _ in range(3):
-                tree = random_tree(n, rng)
-                g = mb.Graph.from_edges(n, [e for e in tree.edges if rng.random() < 0.8])
+                tree = random_tree_edges(n, rng)
+                g = mb.Graph.from_edges(n, [e for e in tree if rng.random() < 0.8])
                 ends = [(p[0], p[-1]) for p in mb.min_path_cover(g).paths]
                 if len(ends) <= self.ALL_CHOICES_MAX_PATHS:
                     choices = itertools.product((0, 1), repeat=len(ends))

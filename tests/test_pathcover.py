@@ -10,7 +10,7 @@ import mrbounds as mb
 from mrbounds import Graph
 from mrbounds.core import _edge_count
 from mrbounds.pathcover import BRUTE_PATH_COVER_MAX_N, PathCoverError, _forest_cover
-from conftest import all_labeled_trees, random_graph, random_tree
+from conftest import all_labeled_trees, random_graph, random_tree, random_tree_edges
 
 
 def cover_is_valid(g, cover):
@@ -102,8 +102,8 @@ def random_forest(rng, max_n=40):
     n = rng.randint(1, max_n)
     labels = list(range(n))
     rng.shuffle(labels)
-    tree = random_tree(n, rng)
-    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in tree.edges if rng.random() < 0.8])
+    tree = random_tree_edges(n, rng)
+    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in tree if rng.random() < 0.8])
 
 
 def labeled_forests(n):

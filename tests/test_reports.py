@@ -31,7 +31,8 @@ class TestEnumerateSmallGraphs:
         assert gs[0].m == 0
         assert gs[-1].m == 3  # complete graph comes last
 
-    # at n = 7 the masks from 1 << 16 on reach the third byte's table
+    # at n = 7, to keep these tests short, only the first 2^16 + 3000 masks;
+    # they reach bit 16, the pair (3, 5)
     STOPS = [(n, None) for n in range(7)] + [(7, (1 << 16) + 3000)]
 
     @pytest.mark.parametrize("n, stop", STOPS)
