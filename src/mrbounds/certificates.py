@@ -17,9 +17,10 @@ The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
 rules hold wherever an argument is taken or loaded: tol non-negative and
 finite, delta positive and finite, and the int rule (core._check_int) for r
-in 0..n, certificate_search's restarts >= 1 and max_iter >= 0 and the seed
->= 0 of sample_pattern, certificate_search and m_sandwich.  A breach raises
-CertificateError, and verify_certificate returns False.
+in 0..n, certificate_search's restarts >= 1 and max_iter >= 0, the seed
+>= 0 of sample_pattern, certificate_search and m_sandwich, and an n x n
+matrix for project_pattern (a square one for project_rank).  A breach
+raises CertificateError, and verify_certificate returns False.
 """
 
 from __future__ import annotations
@@ -130,23 +131,16 @@ class PatternMatrix:
     delta: float
 
     def validate(self) -> None:
-        a = self.entries
-        n = self.graph.n
         _check_delta(self.delta)
-        if a.shape != (n, n):
-            raise CertificateError(f"entries shape {a.shape} does not match n={n}")
+        a = _as_matrix(self.entries, self.graph.n)
         if not np.array_equal(a, a.T):
             raise CertificateError("entries are not exactly symmetric")
-        adj = self.graph.adj
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adj[i] >> j & 1:
-                    if abs(a[i, j]) < self.delta:
-                        raise CertificateError(
-                            f"edge entry ({i},{j}) = {a[i, j]} under magnitude {self.delta}"
-                        )
-                elif a[i, j] != 0.0:
-                    raise CertificateError(f"non-edge entry ({i},{j}) = {a[i, j]} is nonzero")
+        p = _Pattern(self.graph)
+        bad = np.argwhere(np.triu(np.where(p.edge, np.abs(a) < self.delta, a != 0.0), 1))
+        for i, j in bad[:1]:  # the first breach above the diagonal, row-major
+            if p.edge[i, j]:
+                raise CertificateError(f"edge entry ({i},{j}) = {a[i, j]} under magnitude {self.delta}")
+            raise CertificateError(f"non-edge entry ({i},{j}) = {a[i, j]} is nonzero")
 
 
 @dataclass(frozen=True)
@@ -173,22 +167,41 @@ class RankCertificate:
         return self.matrix.graph.n - self.r
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    es = sorted(g.edges)
-    rows = np.fromiter((u for u, _ in es), dtype=np.intp, count=len(es))
-    cols = np.fromiter((v for _, v in es), dtype=np.intp, count=len(es))
-    return rows, cols
+class _Pattern:
+    """G's pattern, built once per search: n x n masks ``edge`` (both
+    orientations) and ``diag``, the polish's residual pairs (pi[k], pj[k]),
+    the ``n_free`` non-edges then the edges, each row-major, and at rank r > 0
+    the n·r identity ``eye`` and the flat indices ``scatter_i``, ``scatter_j``
+    of d(res_k)/d(x[pi[k] or pj[k], c]) in the polish Jacobian's buffer."""
 
+    def __init__(self, g: Graph, r: int = 0):
+        n, adj = g.n, g.adj
+        self.edge = np.array([[adj[i] >> j & 1 for j in range(n)] for i in range(n)], dtype=bool).reshape(n, n)
+        self.diag = np.eye(n, dtype=bool)
+        iu, ju = np.nonzero(~np.tri(n, dtype=bool))  # the pairs i < j, row-major
+        on = self.edge[iu, ju]
+        self.n_free = int(np.count_nonzero(~on))
+        pairs = np.argsort(on, kind="stable")  # non-edges first, each part row-major
+        self.pi, self.pj = iu[pairs], ju[pairs]
+        if r > 0:
+            base = np.arange(iu.size)[:, None] * (n * r) + np.arange(r)
+            self.scatter_i = base + self.pi[:, None] * r
+            self.scatter_j = base + self.pj[:, None] * r
+            self.eye = np.eye(n * r)
 
-def _apply_pattern(m: np.ndarray, n: int, rows, cols, delta: float) -> np.ndarray:
-    out = np.zeros((n, n))
-    np.fill_diagonal(out, np.diagonal(m))
-    if rows.size:
-        vals = 0.5 * (m[rows, cols] + m[cols, rows])
-        clamped = np.where(np.abs(vals) < delta, np.where(vals >= 0, delta, -delta), vals)
-        out[rows, cols] = clamped
-        out[cols, rows] = clamped
-    return out
+    def apply(self, m: np.ndarray, delta: float) -> np.ndarray:
+        """Nearest pattern member to the n x n ``m``, a new array: edge entries
+        0.5 (m_ij + m_ji), clamped to sign * delta below delta in magnitude (a
+        zero of either sign taken positive), m's diagonal, non-edges +0.0."""
+        half = np.where(self.edge, m, 0.0)
+        out = half + half.T
+        out *= 0.5
+        mag = np.abs(out)
+        np.maximum(mag, delta, out=mag)
+        out += 0.0  # -0.0 becomes +0.0, so copysign clamps it to +delta
+        np.copysign(mag, out, out=out, where=self.edge)
+        np.copyto(out, m, where=self.diag)
+        return out
 
 
 def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> PatternMatrix:
@@ -208,13 +221,19 @@ def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> Pattern
     return PatternMatrix(a, g, delta)
 
 
+def _as_matrix(m, n: int) -> np.ndarray:
+    """``m`` as an n x n float array; another shape raises CertificateError."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (n, n):
+        raise CertificateError(f"matrix shape {m.shape} is not n x n for n={n}")
+    return m
+
+
 def project_pattern(m: np.ndarray, g: Graph, delta: float = DELTA_DEFAULT) -> PatternMatrix:
     """Nearest pattern member: zero the non-edges, clamp small edge entries
     to sign * delta (sign of zero taken positive), keep the diagonal."""
     _check_delta(delta)
-    m = np.asarray(m, dtype=float)
-    rows, cols = _edge_arrays(g)
-    out = _apply_pattern(m, g.n, rows, cols, delta)
+    out = _Pattern(g).apply(_as_matrix(m, g.n), delta)
     out.setflags(write=False)
     return PatternMatrix(out, g, delta)
 
@@ -222,36 +241,24 @@ def project_pattern(m: np.ndarray, g: Graph, delta: float = DELTA_DEFAULT) -> Pa
 def project_rank(m: np.ndarray, r: int) -> np.ndarray:
     """Nearest (Frobenius) symmetric matrix of rank <= r: spectral
     truncation keeping the r eigenvalues of largest magnitude."""
-    m = np.asarray(m, dtype=float)
+    m = _as_matrix(m, np.ndim(m) and len(m))
     _check_int("r", r, 0, m.shape[0], CertificateError)
     if r == m.shape[0]:
         return m.copy()
     lam, q = np.linalg.eigh(m)
-    out = _truncate(lam, q, np.argsort(-np.abs(lam), kind="stable")[:r])
+    keep = np.argsort(-np.abs(lam), kind="stable")[:r]
+    out = (q[:, keep] * lam[keep]) @ q[:, keep].T
     return 0.5 * (out + out.T)
 
 
-def _truncate(lam: np.ndarray, q: np.ndarray, keep) -> np.ndarray:
-    """q diag(lam) q^T restricted to the eigenpairs ``keep``, symmetric only
-    up to rounding: project_rank symmetrises it, and _apply_pattern averages
-    each edge pair itself, so the search loop skips that cost per round."""
-    return (q[:, keep] * lam[keep]) @ q[:, keep].T
-
-
-def _nonedge_arrays(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, cols] = adj[cols, rows] = True
-    iu, ju = np.triu_indices(n, 1)
-    off = ~adj[iu, ju]
-    return iu[off], ju[off]
-
-
-def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta: float):
+def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float, delta: float):
     """Levenberg-Marquardt on the rank-r factor A = X diag(s) X^T of the
     pattern iterate ``a``, with the non-edge entries as residuals and each
     edge kept, in its sign, at least POLISH_EDGE_FLOOR times sigma[0] of
-    ``a`` in magnitude.  The search loop hands over its eigh (lam, q) of ``a``
-    and ``order``, the eigenvalue indices by descending magnitude.
+    ``a`` in magnitude.  The search loop hands over its eigh (lam, q) of ``a``,
+    ``order`` (eigenvalue indices by descending magnitude) and the _Pattern
+    it built once; the Jacobian's flat scatters into a zeroed buffer give
+    the same bits as 3-D indexing, so certificates are unchanged.
 
     The result has its non-edges zeroed and is scaled up, if needed, so that
     every edge is at least ``delta`` in magnitude.  It is accepted only if it
@@ -264,12 +271,8 @@ def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta:
     s = np.sign(lam[keep])
     x = q[:, keep] * np.sqrt(np.abs(lam[keep]))
     floor = POLISH_EDGE_FLOOR * float(np.abs(lam[order[0]]))
-    ni, nj = _nonedge_arrays(n, rows, cols)
-    pi = np.concatenate([ni, rows])
-    pj = np.concatenate([nj, cols])
-    n_free = ni.size
-    edge_sign = np.sign(a[rows, cols])
-    k = np.arange(pi.size)
+    pi, pj, n_free = pattern.pi, pattern.pj, pattern.n_free
+    edge_sign = np.sign(a[pi[n_free:], pj[n_free:]])
 
     def residuals(x):
         # Non-edge entries should vanish; an edge below its floor costs
@@ -289,9 +292,9 @@ def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta:
     steps = 0
     while steps < POLISH_STEPS and cost > 0.0:
         xs = x * s
-        jac = np.zeros((pi.size, n, r))
-        jac[k, pi, :] = coef[:, None] * xs[pj]
-        jac[k, pj, :] += coef[:, None] * xs[pi]
+        jac = np.zeros(pi.size * n * r)
+        jac[pattern.scatter_i] = coef[:, None] * xs[pj]
+        jac[pattern.scatter_j] += coef[:, None] * xs[pi]
         jac = jac.reshape(pi.size, n * r)
         grad = jac.T @ res
         hess = jac.T @ jac
@@ -300,7 +303,7 @@ def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta:
         # so ``hess`` is singular; the damping keeps a floor.
         mu = max(1e-3 * scale if mu is None else mu, 1e-12 * scale)
         for _ in range(POLISH_DAMPING_TRIES):
-            step = np.linalg.solve(hess + mu * np.eye(n * r), -grad)
+            step = np.linalg.solve(hess + mu * pattern.eye, -grad)
             x_new = x + step.reshape(n, r)
             res_new, coef_new = residuals(x_new)
             cost_new = float(res_new @ res_new)
@@ -312,11 +315,11 @@ def _polish(a: np.ndarray, lam, q, order, r: int, rows, cols, tol: float, delta:
         else:
             break
         steps += 1
-    entries = _apply_pattern((x * s) @ x.T, n, rows, cols, floor)
-    least = float(np.min(np.abs(entries[rows, cols]), initial=np.inf))
+    entries = pattern.apply((x * s) @ x.T, floor)
+    least = float(np.min(np.abs(entries[pattern.edge]), initial=np.inf))
     if least < delta:
-        entries = _apply_pattern(entries * (delta / least), n, rows, cols, delta)
-        least = float(np.min(np.abs(entries[rows, cols])))
+        entries = pattern.apply(entries * (delta / least), delta)
+        least = float(np.min(np.abs(entries[pattern.edge])))
     sig = np.sort(np.abs(np.linalg.eigvalsh(entries)))[::-1]
     s1 = float(sig[0])
     if s1 == 0.0 or _residual(sig, r) > min(tol, POLISH_TOL) or least < POLISH_EDGE_ACCEPT * s1:
@@ -339,7 +342,9 @@ def certificate_search(
 
     Restart i samples with seed + i; restarts run in order and the first
     converged iterate wins.  Convergence of a projection iterate is judged on
-    the pattern-feasible iterate, by the rank test at ``tol``.
+    the pattern-feasible iterate, by the rank test at ``tol``.  G's pattern
+    (_Pattern) is built once per search; every LAPACK/BLAS call gets the
+    operands of a per-round build, so certificates are the same bit for bit.
 
     Stop rule: a restart ends when it converges, when it reaches ``max_iter``
     rounds, or when it stalls: its best residual fell by less than
@@ -367,14 +372,13 @@ def certificate_search(
     convergence the certificate carries the best-residual projection
     iterate seen anywhere; rejected polish results are never reported.
     """
-    n = g.n
-    _check_int("r", r, 0, n, CertificateError)
+    _check_int("r", r, 0, g.n, CertificateError)
     _check_tol(tol)
     _check_delta(delta)
     _check_int("restarts", restarts, 1, error=CertificateError)
     _check_int("max_iter", max_iter, 0, error=CertificateError)
     _check_int("seed", seed, 0, error=CertificateError)
-    rows, cols = _edge_arrays(g)
+    pattern = _Pattern(g, r)
     best_rel = np.inf
     best: tuple[np.ndarray, np.ndarray, int] | None = None
     converged = False
@@ -383,8 +387,9 @@ def certificate_search(
         restart_best = mark = np.inf
         for rounds in range(max_iter + 1):
             lam, q = np.linalg.eigh(a)
-            order = np.argsort(-np.abs(lam), kind="stable")
-            sig = np.abs(lam)[order]
+            mag = np.abs(lam)
+            order = (-mag).argsort(kind="stable")
+            sig = mag[order]
             rel = _residual(sig, r)
             if rel < best_rel:
                 best_rel = rel
@@ -399,11 +404,14 @@ def certificate_search(
                 if restart_best > STALL_FACTOR * mark:
                     break
                 mark = restart_best
-            a = _apply_pattern(_truncate(lam, q, order[:r]), n, rows, cols, delta)
+            # rank-r truncation, symmetric up to rounding; apply averages edges
+            keep = order[:r]
+            qk = q[:, keep]
+            a = pattern.apply((qk * lam[keep]) @ qk.T, delta)
         if converged:
             break
         if r > 0:
-            polished = _polish(a, lam, q, order, r, rows, cols, tol, delta)
+            polished = _polish(a, lam, q, order, r, pattern, tol, delta)
             if polished is not None:
                 entries, sigma, steps = polished
                 best = (entries, sigma, rounds + steps)

@@ -58,11 +58,14 @@ class ForcingTrace:
 
 
 def _closure_mask(adj, filled: int) -> int:
-    """Fixed point of the color rule starting from the ``filled`` mask."""
+    """Fixed point of the color rule starting from the ``filled`` mask.  Each
+    sweep takes the lowest bit of ``filled`` inline, as _level_bfs does."""
     while True:
-        grown = filled
-        for u in _bits(filled):
-            white = adj[u] & ~grown
+        grown = rest = filled
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            white = adj[low.bit_length() - 1] & ~grown
             if white and white & (white - 1) == 0:
                 grown |= white
         if grown == filled:

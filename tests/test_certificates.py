@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,42 @@ class TestSampleAndProjectPattern:
         assert m.entries[0, 1] == m.entries[1, 0] == 3.0
         assert m.entries[0, 2] == 0.0
         m.validate()
+
+    def test_project_follows_the_rule_entry_by_entry(self):
+        # the pattern rule as a plain double loop, compared bit for bit (sign
+        # of zero included) on entries at exactly +-delta, +-0.0, just under
+        # delta, and a diagonal entry so large that doubling it overflows
+        delta = 1e-3
+        under = np.nextafter(delta, 0.0)
+        specials = np.array([delta, -delta, 0.0, -0.0, under, -under, 0.5, -0.5])
+        rng = np.random.default_rng(2024)
+        for g in (mb.cycle_graph(5), mb.wheel_graph(6), mb.sun_graph(3), mb.complete_graph(4), mb.Graph(3, ())):
+            n = g.n
+            for _ in range(25):
+                m = rng.uniform(-2 * delta, 2 * delta, (n, n))
+                pick = rng.random((n, n)) < 0.6
+                m[pick] = rng.choice(specials, size=int(pick.sum()))
+                m[rng.integers(n), rng.integers(n)] = -0.0
+                k = rng.integers(n)
+                m[k, k] = 1e308
+                expected = np.zeros((n, n))
+                for i in range(n):
+                    for j in range(n):
+                        if i == j:
+                            expected[i, j] = m[i, j]
+                        elif g.has_edge(i, j):
+                            v = 0.5 * (m[i, j] + m[j, i])
+                            expected[i, j] = v if abs(v) >= delta else (delta if v >= 0 else -delta)
+                got = mb.project_pattern(m, g, delta).entries
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2), (3,), ()])
+    def test_project_rejects_wrong_shape(self, shape):
+        # neither read from a larger matrix's top-left block nor an
+        # IndexError on a smaller one: the shape names n
+        with pytest.raises(mb.CertificateError, match=re.escape(f"shape {shape} is not n x n for n=3")):
+            mb.project_pattern(np.zeros(shape), mb.path_graph(3))
 
     def test_entries_are_readonly(self):
         m = mb.sample_pattern(mb.path_graph(3), seed=0)
@@ -122,6 +159,11 @@ class TestProjectRank:
         with pytest.raises(mb.CertificateError, match="not an int"):
             mb.project_rank(np.eye(3), r)
 
+    def test_non_square_rejected(self):
+        # the argument rules' error, not numpy's LinAlgError
+        with pytest.raises(mb.CertificateError, match=re.escape("shape (3, 4) is not n x n for n=3")):
+            mb.project_rank(np.zeros((3, 4)), 2)
+
 
 class TestCertificateSearch:
     def test_cycle_rank_three(self):
@@ -160,6 +202,17 @@ class TestCertificateSearch:
             assert np.array_equal(a.matrix.entries, b.matrix.entries)
         assert a.converged and mb.verify_certificate(a)
         assert a.sigma[9] <= mb.certificates.POLISH_TOL * a.sigma[0]
+
+    def test_restarts_run_in_seed_order(self):
+        # restart i draws with seed + i: on C10 at rank 8 restarts 0 and 1
+        # stall and fail their polish, and restart 2 converges, so the search
+        # is the one-restart search from seed 2
+        full = mb.certificate_search(mb.cycle_graph(10), 8, seed=0)
+        third = mb.certificate_search(mb.cycle_graph(10), 8, restarts=1, seed=2)
+        assert full.converged and third.converged
+        assert full.iterations == third.iterations == 54
+        assert full.sigma == third.sigma
+        assert np.array_equal(full.matrix.entries, third.matrix.entries)
 
     def test_trivial_targets(self):
         g = mb.path_graph(3)
@@ -259,8 +312,8 @@ class TestPolish:
             a[u, v] = a[v, u] = 1.0
         lam, q = np.linalg.eigh(a)
         order = np.argsort(-np.abs(lam), kind="stable")
-        rows, cols = certificates._edge_arrays(g)
-        polished = certificates._polish(a, lam, q, order, 2, rows, cols, mb.TOL_DEFAULT, mb.DELTA_DEFAULT)
+        pattern = certificates._Pattern(g, 2)
+        polished = certificates._polish(a, lam, q, order, 2, pattern, mb.TOL_DEFAULT, mb.DELTA_DEFAULT)
         assert polished is not None
         assert np.max(np.abs(polished[0] - a)) <= 1e-9
 

@@ -111,9 +111,10 @@ FIRST_CALLS = {
         f"mb.certificate_to_json(mb.certificate_from_json({C4_CERTIFICATE!r}))",
         C4_CERTIFICATE,
     ),
-    "_edge_arrays": (
-        "[a.tolist() for a in certificates._edge_arrays(mb.cycle_graph(5))]",
-        [[0, 0, 1, 2, 3], [1, 4, 2, 3, 4]],
+    "_Pattern": (
+        "p = certificates._Pattern(mb.cycle_graph(5))\n"
+        "[p.n_free, p.pi.tolist(), p.pj.tolist()]",
+        [5, [0, 0, 1, 1, 2, 0, 0, 1, 2, 3], [2, 3, 3, 4, 4, 1, 4, 2, 3, 4]],
     ),
 }
 
