@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .core import Graph, _check_int, _is_forest_mask, parse_graph6
-from .deletion import _search
+from . import deletion
 # _t_minus_op, _t_plus_op and _delta_plus_op are unused here; they stay module
 # attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .deletion import delta_plus as _delta_plus_op
@@ -491,11 +491,11 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
     to the same sandwich instead of searching them again; here one deletion
-    walk gives t_minus, t_plus and delta_plus.  ``m_exact`` is set as
-    MSandwich says.
+    walk (deletion._walk) gives the values of t_minus, t_plus and
+    delta_plus.  ``m_exact`` is set as MSandwich says.
     """
     _check_int("seed", seed, 0, error=CertificateError)
-    tm, tp, dp = (w.value for w in _search(g, ("t_minus", "t_plus", "delta_plus")))
+    tm, tp, dp = (value for value, _, _ in deletion._walk(g.adj, g.n, ("t_minus", "t_plus", "delta_plus")))
     z, _ = zero_forcing_number(g)
     return _sandwich(g, tm, z, tp, dp, numeric=numeric, seed=seed)
 

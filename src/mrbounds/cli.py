@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .certificates import (
@@ -166,7 +167,16 @@ def _cmd_zf(args) -> int:
     return 0
 
 
+# BLAS and OpenMP thread counts, set to one unless the caller chose: a
+# multithreaded BLAS may sum in another order, and the certificate search
+# would then write other bytes for the same graph, rank and seed.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    # before numpy loads, which happens on the first numeric call
+    for var in _THREAD_VARIABLES:
+        os.environ.setdefault(var, "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

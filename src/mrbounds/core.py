@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 __all__ = [
     "FamilyError",
@@ -149,9 +149,10 @@ class Graph:
         return emit_graph6(self).decode("ascii")
 
 
-def _enumerated_graph(n: int, mask: int) -> Graph:
-    """The Graph with fields n and mask, unchecked, for enumerate_small_graphs,
-    which checks n once per call and draws each mask below 2^(n(n-1)/2)."""
+def _unchecked_graph(n: int, mask: int) -> Graph:
+    """The Graph with fields n and mask, unchecked, for callers that know n
+    is an int >= 0 and mask is below 2^(n(n-1)/2): enumerate_small_graphs,
+    which checks n once per call, and parse_graph6."""
     g = object.__new__(Graph)
     d = g.__dict__
     d["n"] = n
@@ -335,27 +336,40 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
 # Layout: byte n+63 for n <= 62, then the upper triangle of the adjacency
 # matrix read column by column (x(0,1), x(0,2), x(1,2), x(0,3), ...) packed
 # big-endian into 6-bit groups, zero padded, each group emitted as group+63.
+# That column order is not Graph.mask's row-major order; _graph6_layout maps
+# one to the other, for the encoder and the decoder alike.
+
+@cache
+def _graph6_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, shift) on n vertices, built on first use of each n.
+
+    order[t] is the Graph.mask bit of the t-th graph6 adjacency bit: the
+    t-th pair (i, j) column by column, which row-major order puts at
+    i n - i (i + 3) / 2 + j - 1.  shift is its inverse: shift[k] is the
+    place of mask bit k in the zero-padded adjacency bits read as one
+    integer, the first bit highest.
+    """
+    order = tuple(i * n - i * (i + 3) // 2 + j - 1 for j in range(1, n) for i in range(j))
+    padded = 6 * -(-len(order) // 6)  # the bits in whole 6-bit groups
+    shift = [0] * len(order)
+    for t, k in enumerate(order):
+        shift[k] = padded - 1 - t
+    return order, tuple(shift)
+
 
 def emit_graph6(g: Graph) -> bytes:
     """Canonical graph6 encoding (no header, zero padding)."""
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error(f"n={g.n} exceeds the supported graph6 size {GRAPH6_MAX_N}")
-    out = [g.n + 63]
-    acc = 0
-    nbits = 0
-    adj = g.adj
-    for j in range(1, g.n):
-        col = adj[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    order, shift = _graph6_layout(g.n)
+    bits = 0
+    rest = g.mask
+    while rest:  # the lowest bit inline, as _level_bfs does
+        low = rest & -rest
+        bits |= 1 << shift[low.bit_length() - 1]
+        rest ^= low
+    groups = -(-len(order) // 6)
+    return bytes([g.n + 63, *[(bits >> 6 * k & 63) + 63 for k in range(groups - 1, -1, -1)]])
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -363,7 +377,10 @@ def parse_graph6(text: bytes | str) -> Graph:
 
     Raises :class:`Graph6Error` naming the byte offset for malformed length,
     bytes outside 63..126 (a non-ASCII character of a str among them), and
-    nonzero padding bits.  Trailing newlines are tolerated.
+    nonzero padding bits.  Trailing newlines are tolerated.  The adjacency
+    bits go straight into the edge mask through _graph6_layout, and the Graph
+    is built unchecked (_unchecked_graph): every pair is in range by
+    construction.
     """
     if isinstance(text, str) and not text.isascii():
         bad = next(i for i, c in enumerate(text) if not c.isascii())
@@ -390,22 +407,20 @@ def parse_graph6(text: bytes | str) -> Graph:
             f"expected {expected} adjacency bytes for n={n}, got {len(body)}",
             offset=base + 1 + min(len(body), expected),
         )
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    edges = []
-    pos = 0
+    bits = 0  # the adjacency bits, the first one highest, then the padding
     for k, byte in enumerate(body):
         if not 63 <= byte <= 126:
             raise Graph6Error(f"adjacency byte {byte} outside 63..126", offset=base + 1 + k)
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if pos < nbits:
-                if bit:
-                    edges.append(pairs[pos])
-            elif bit:
-                raise Graph6Error("nonzero padding bit", offset=base + 1 + k)
-            pos += 1
-    return Graph.from_edges(n, edges)
+        bits = bits << 6 | byte - 63
+    pad = 6 * expected - nbits  # all in the last byte
+    if bits & (1 << pad) - 1:
+        raise Graph6Error("nonzero padding bit", offset=base + expected)
+    bits >>= pad
+    order = _graph6_layout(n)[0]
+    mask = 0
+    for k in _bits(bits):  # bit k is adjacency bit nbits - 1 - k
+        mask |= 1 << order[nbits - 1 - k]
+    return _unchecked_graph(n, mask)
 
 
 # ---------------------------------------------------------------------------

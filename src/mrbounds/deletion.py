@@ -13,7 +13,14 @@ rule, stop rule and size cap, and walks a size while any record is active.
 t+- scan only deletion sets as large as the component's cycle space, which
 is always enough; delta_plus scans every size.  A component that would need
 more than core.SEARCH_MAX_SETS deletion sets raises DeletionError instead.
-delta always equals t_minus, so delta upgrades a t_minus witness.
+delta always equals t_minus, so delta upgrades a t_minus witness: it adds
+the junctions of the greedy cover of G - S (pathcover._junctions), found on
+masks (_delta_set).
+
+_walk returns each record's value, witness mask and leftover count.
+reports.compute_report and certificates.m_sandwich read those directly;
+only the public entry points wrap them in DeletionWitnesses (_search),
+with a ForestDecomposition of what each set leaves.
 _delta_values is the oracle the corpus checks compare with: one pass over
 all kept sets that builds each one's path count from the kept set without
 its top vertex, with no code shared with the walk or the covers.
@@ -50,12 +57,13 @@ from .core import (
     _edge_count,
     _independence_number,
     _is_forest_mask,
-    _isolate,
     _level_bfs,
     _mask_of,
     _vertex_set,
 )
-from .pathcover import _forest_cover, min_path_cover
+# min_path_cover is unused here; it stays a module attribute only for
+# perfbench/tracing.py and tests/test_trace_sites.py
+from .pathcover import _forest_cover, _junctions, min_path_cover
 
 __all__ = [
     "DeletionError",
@@ -263,7 +271,8 @@ def _walk(adj, n: int, names) -> list[tuple[int, int, int]]:
 
 
 def _search(g: Graph, names) -> list[DeletionWitness]:
-    """One DeletionWitness per name in ``names``, from one _walk."""
+    """One DeletionWitness per name in ``names``, from one _walk, for the
+    public entry points."""
     adj = g.adj
     full = (1 << g.n) - 1
     return [
@@ -352,17 +361,28 @@ def delta(g: Graph) -> DeletionWitness:
     not always the (size, lex)-first delta optimum.  _delta_values
     recomputes the value by its own kept-set sweep.
     """
-    return _delta_from(g, t_minus(g))
+    tm = t_minus(g)
+    adj = g.adj
+    s = _delta_set(adj, g.n, _mask_of(tm.s), tm.value)
+    deco = _decomposition_of_mask(adj, (1 << g.n) - 1 & ~s)
+    return DeletionWitness("delta", frozenset(_bits(s)), tm.value, deco, deco.p)
 
 
-def _delta_from(g: Graph, base: DeletionWitness) -> DeletionWitness:
-    """The delta witness, upgraded from g's t_minus witness ``base``."""
-    s = base.s | min_path_cover(_isolate(g, base.s)).junctions
-    rest = (1 << g.n) - 1 & ~_mask_of(s)
-    deco = _decomposition_of_mask(g.adj, rest)
-    assert deco.is_linear_forest
-    assert deco.p - len(s) == base.value
-    return DeletionWitness("delta", s, base.value, deco, deco.p)
+def _delta_set(adj, n: int, s: int, value: int) -> int:
+    """The delta witness mask, upgraded from the t_minus witness mask ``s``
+    of value ``value``: S and the junctions (pathcover._junctions) of the
+    greedy cover of the forest G - S, found on masks with no cover built.
+    Each junction joins two paths of the cover, so deleting it leaves one
+    more path: p(G - S') = P(G - S) + |S' - S|, and the score stays."""
+    full = (1 << n) - 1
+    s |= _junctions(adj, _level_bfs(adj, full & ~s)[0])
+    rest = full & ~s
+    p = len(_level_bfs(adj, rest)[1])
+    # a linear forest: acyclic, with no vertex of degree three or more
+    assert _edge_count(adj, rest) == rest.bit_count() - p
+    assert all((adj[v] & rest).bit_count() <= 2 for v in _bits(rest))
+    assert p - s.bit_count() == value
+    return s
 
 
 def delta_plus(g: Graph) -> DeletionWitness:

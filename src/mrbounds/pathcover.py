@@ -2,11 +2,12 @@
 
 For a forest, an induced path cover and a plain path cover coincide, and a
 single greedy leaves-first pass is exact.  It runs over the levels of
-core._level_bfs, the one component traversal, with two consumers:
+core._level_bfs, the one component traversal, with three consumers:
 _forest_cover counts the cover of an induced subforest for the deletion
-searches, and min_path_cover builds its paths and junctions.  Small
-brute-force variants are kept alongside as cross-check oracles for
-arbitrary graphs.
+searches, _junctions finds the vertices where the greedy joins two paths,
+and min_path_cover builds its paths and reads its junctions from
+_junctions.  Small brute-force variants are kept alongside as cross-check
+oracles for arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ def min_path_cover(g: Graph) -> PathCover:
     if g.m != g.n - len(comps):
         raise PathCoverError("graph has a cycle; minimum path cover needs a forest")
     paths: list[tuple[int, ...]] = []
-    junctions: set[int] = set()
     # open_at[v]: the still-extendable path ending at v, built child-first
     open_at: dict[int, list[int]] = {}
     for level in reversed(levels):
@@ -99,14 +99,32 @@ def min_path_cover(g: Graph) -> PathCover:
                 first.append(v)
                 first.extend(reversed(second))
                 paths.append(tuple(first))
-                junctions.add(v)
                 for w in arms[2:]:
                     paths.append(tuple(open_at.pop(w)))
     # each vertex took in all its open children, so only roots are left open
     paths.extend(map(tuple, open_at.values()))
-    cover = PathCover(tuple(sorted(paths, key=min)), frozenset(junctions))
+    cover = PathCover(tuple(sorted(paths, key=min)), frozenset(_bits(_junctions(adj, levels))))
     _validate_cover(g, cover)
     return cover
+
+
+def _junctions(adj, levels) -> int:
+    """The junction mask of the greedy cover over ``levels``, the levels of
+    _level_bfs on a forest: the vertices with two or more open child paths,
+    which the greedy joins through them.  Any other vertex is the end of an
+    open path, and a junction closes its path, so it is never an open child.
+    This is the one statement of the junction rule: min_path_cover reads its
+    junctions here, and so does the delta witness (deletion._delta_set),
+    with no cover built.  ``adj`` may belong to a supergraph.
+    """
+    open_ends = junctions = 0
+    for level in reversed(levels):
+        for v in _bits(level):
+            if (adj[v] & open_ends).bit_count() > 1:
+                junctions |= 1 << v
+            else:
+                open_ends |= 1 << v
+    return junctions
 
 
 def _forest_cover(adj, mask: int, edges: int):

@@ -1,13 +1,16 @@
 """Whole-corpus verification and report plumbing.
 
 Everything here treats one graph as one row: compute all parameters, check
-the inequality chain between them, and serialize.  Corpus sweeps walk every
-labeled graph and recompute each side of every identity with unrelated
-algorithms, so an equality in the chain is evidence, not an echo.  The
-parameters are graph invariants, so each isomorphism class of the labeled
-corpus is computed once and its verdict shared by every labeled member; a
-class that fails is recomputed member by member, so each violation record
-is that labeled graph's own.  The per-label audit stays in the acceptance
+the inequality chain between them, and serialize.  A report takes its
+deletion values and witness sets as masks straight from the deletion walk
+(deletion._walk), so it builds no DeletionWitness, decomposition or path
+cover; the CSV loader reads integer, true and false cells without
+json.loads.  Corpus sweeps walk every labeled graph and recompute each side
+of every identity with unrelated algorithms, so an equality in the chain is
+evidence, not an echo.  The parameters are graph invariants, so each
+isomorphism class of the labeled corpus is computed once and its verdict
+shared by every labeled member; a class that fails is recomputed member by
+member, so each violation record is that labeled graph's own.  The per-label audit stays in the acceptance
 gate: criteria 03, 05 and 08 run every labeled graph with n <= 6 through
 the engines, and criterion 10 through the graph6 codec.
 """
@@ -22,11 +25,14 @@ from array import array
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
+# deletion._walk is looked up on the module at each call, so a wrapper set
+# there sees every call
+from . import deletion
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .certificates import _sandwich, m_sandwich
-from .core import Graph, _check_int, _enumerated_graph, _is_forest_mask, _level_bfs, parse_graph6
-from .deletion import _delta_from, _delta_values, _search, _t_values, delta, delta_plus, t_minus, t_plus
+from .core import Graph, _bits, _check_int, _is_forest_mask, _level_bfs, _unchecked_graph, parse_graph6
+from .deletion import _delta_set, _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
 from .pathcover import BRUTE_INDUCED_COVER_MAX_N, induced_path_cover_bruteforce
 
@@ -166,7 +172,7 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
     Capped at n = 7 (2^21 graphs); no isomorphism reduction.  ``n`` is
     checked here, when the function is called, and the graphs come from the
     generator it returns.  Each mask is below 2^(n(n-1)/2), so each graph
-    skips the per-edge check of ``Graph`` (core._enumerated_graph).
+    skips the per-edge check of ``Graph`` (core._unchecked_graph).
     """
     _check_int("n", n, 0, ENUMERATION_MAX_N)
     return _labeled_graphs(n, connected_only)
@@ -175,7 +181,7 @@ def enumerate_small_graphs(n: int, connected_only: bool = False) -> Iterator[Gra
 def _labeled_graphs(n: int, connected_only: bool) -> Iterator[Graph]:
     full = (1 << n) - 1
     for mask in range(1 << n * (n - 1) // 2):
-        g = _enumerated_graph(n, mask)
+        g = _unchecked_graph(n, mask)
         if connected_only and n > 0 and len(_level_bfs(g.adj, full)[1]) != 1:
             continue
         yield g
@@ -230,18 +236,22 @@ def compute_report(g: Graph, *, with_numeric: bool = False) -> ParameterReport:
 
     The delta witness comes from the t_minus upgrade (the two values agree by
     theorem); corpus verification recomputes delta independently instead.
-    One deletion walk per component gives the t_minus, t_plus and delta_plus
-    witnesses.  Each exact bound is computed once and handed to the
-    sandwich, which runs the certificate searches of ``m_sandwich(g)`` only
-    with ``with_numeric``.
+    One deletion walk per component (deletion._walk) gives the t_minus,
+    t_plus and delta_plus values and witness masks, and the delta witness is
+    upgraded from the t_minus mask (deletion._delta_set), so no
+    DeletionWitness, decomposition or cover is built.  Each exact bound is
+    computed once and handed to the sandwich, which runs the certificate
+    searches of ``m_sandwich(g)`` only with ``with_numeric``.
     """
-    tm_w, tp_w, dp_w = _search(g, ("t_minus", "t_plus", "delta_plus"))
-    d_w = _delta_from(g, tm_w)
+    adj = g.adj
+    (tm, tm_s, _), (tp, tp_s, _), (dp, dp_s, _) = deletion._walk(adj, g.n, ("t_minus", "t_plus", "delta_plus"))
+    d_s = _delta_set(adj, g.n, tm_s, tm)
     z_val, z_wit = zero_forcing_number(g)
-    sw = _sandwich(g, tm_w.value, z_val, tp_w.value, dp_w.value, numeric=with_numeric)
-    sets = (tm_w.s, tp_w.s, d_w.s, dp_w.s, z_wit)
-    witnesses = {key: tuple(sorted(s)) for key, s in zip(_WITNESS_KEYS, sets)}
-    return _report(g, tm_w.value, d_w.value, z_val, tp_w.value, dp_w.value,
+    sw = _sandwich(g, tm, z_val, tp, dp, numeric=with_numeric)
+    witnesses = {key: tuple(_bits(s)) for key, s in zip(_WITNESS_KEYS, (tm_s, tp_s, d_s, dp_s))}
+    witnesses["z"] = tuple(sorted(z_wit))
+    # delta = t_minus, which _delta_set asserts of its witness
+    return _report(g, tm, tm, z_val, tp, dp,
                    m_lower_numeric=sw.numeric_lower, m_exact=sw.m_exact, witnesses=witnesses)
 
 
@@ -446,10 +456,25 @@ def load_reports_json(source) -> list[ParameterReport]:
     return out
 
 
+# The CSV cells read without json.loads, besides exact JSON integers.
+_CELL_WORDS = {"": None, "true": True, "false": False}
+
+
 def _cell_value(cell: str, column: str):
-    """The JSON value in a CSV cell; an empty cell is None."""
+    """The JSON value in a CSV cell; an empty cell is None.
+
+    The cells a report writes, an exact JSON integer (an optional minus,
+    then 0 or digits with no leading zero), true or false, are read
+    directly; any other cell goes through json.loads.  A ValueError of
+    either path, the int digit limit's among them, raises the same error.
+    """
+    if cell in _CELL_WORDS:
+        return _CELL_WORDS[cell]
+    digits = cell[1:] if cell[:1] == "-" else cell
     try:
-        return None if cell == "" else json.loads(cell)
+        if digits.isascii() and digits.isdigit() and (digits[0] != "0" or len(digits) == 1):
+            return int(cell)
+        return json.loads(cell)
     except ValueError:
         raise ValueError(f"{column} cell {cell!r} is not a JSON value") from None
 

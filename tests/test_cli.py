@@ -1,6 +1,10 @@
 """End-to-end command line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,10 @@ import mrbounds as mb
 from mrbounds import certificates, reports
 from mrbounds.cli import main
 from mrbounds.core import _FAMILY_KINDS
+
+# the directory that holds the mrbounds package this process imported
+PACKAGE_ROOT = str(Path(mb.__file__).resolve().parents[1])
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(capsys, *argv):
@@ -225,6 +233,23 @@ class TestCertify:
                         "--max-iter", "200", "--out", str(dst))
         cert = mb.read_certificate(str(dst))
         assert f"(residual {certificates._residual(cert.sigma, cert.r):.3e}," in out
+
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # main() sets the BLAS thread counts to one unless they are set: a
+        # multithreaded BLAS wrote another 6-sun rank-9 certificate.  Each
+        # run is a fresh interpreter, as numpy reads the variables on load.
+        path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+        base = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        outs = []
+        for name, extra in (("unset", {}), ("one", dict.fromkeys(THREAD_VARIABLES, "1"))):
+            dst = tmp_path / f"{name}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mrbounds.cli", "certify", "--graph6", mb.sun_graph(6).graph6(),
+                 "--rank", "9", "--out", str(dst)],
+                env=dict(base, PYTHONPATH=path, **extra), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(dst.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_bad_rank(self, capsys):
         code, _, err = run(capsys, "certify", "--graph6", "Bg", "--rank", "9")

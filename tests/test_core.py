@@ -251,10 +251,31 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             mb.emit_graph6(Graph.from_edges(63))
 
-    def test_round_trip_small(self):
-        for n in range(5):
-            for g in mb.enumerate_small_graphs(n):
-                assert mb.parse_graph6(g.graph6()) == g
+    def test_round_trip(self):
+        # every labeled graph with n <= 6, then seeded ones up to graph6's cap;
+        # the decoder builds its Graph unchecked, so each must pass the check
+        graphs = [g for n in range(7) for g in mb.enumerate_small_graphs(n)]
+        rng = random.Random(20261020)
+        graphs += [random_graph(rng.randint(7, 62), rng.random(), rng) for _ in range(500)]
+        for g in graphs:
+            h = mb.parse_graph6(g.graph6())
+            assert h == g and Graph(h.n, h.edges) == g and h.adj == g.adj, g.graph6()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty graph6 record (byte offset 0)"),
+        ("~??", "multi-byte vertex counts (n > 62) are not supported (byte offset 0)"),
+        ("=", "vertex-count byte 61 outside 63..125 (byte offset 0)"),
+        ("Dh", "expected 2 adjacency bytes for n=5, got 1 (byte offset 2)"),
+        ("Dhcc", "expected 2 adjacency bytes for n=5, got 3 (byte offset 3)"),
+        (b"Dh\x7f", "adjacency byte 127 outside 63..126 (byte offset 2)"),
+        (">>graph6<<D>c", "adjacency byte 62 outside 63..126 (byte offset 11)"),
+        ("Bh", "nonzero padding bit (byte offset 1)"),
+        ("Dhd", "nonzero padding bit (byte offset 2)"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(Graph6Error) as exc:
+            mb.parse_graph6(text)
+        assert str(exc.value) == message
 
     def test_matches_networkx(self, rng):
         nx = pytest.importorskip("networkx")

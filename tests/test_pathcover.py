@@ -8,7 +8,8 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import Graph
-from mrbounds.core import _edge_count
+from mrbounds.core import _edge_count, _isolate, _mask_of
+from mrbounds.deletion import _delta_set
 from mrbounds.pathcover import BRUTE_PATH_COVER_MAX_N, PathCoverError, _forest_cover
 from conftest import all_labeled_trees, random_graph, random_tree, random_tree_edges
 
@@ -142,6 +143,18 @@ def test_paths_and_junctions_digest():
         cover = mb.min_path_cover(g)
         h.update(repr((g.graph6(), sorted(cover.paths), sorted(cover.junctions))).encode())
     assert h.hexdigest() == PATHS_JUNCTIONS_SHA256
+
+
+def test_mask_junctions_match_the_cover():
+    # the delta witness takes the junctions of G - S on masks, with no
+    # cover built; on forests they must be the cover's junctions, and the
+    # score P(G - S) - |S| must carry over
+    rng = random.Random(20261020)
+    for g in pinned_forests():
+        s = frozenset(v for v in range(g.n) if rng.random() < 0.2)
+        cover = mb.min_path_cover(_isolate(g, s))
+        p = cover.size - len(s)  # P(G - S): the cover counts each vertex of S as a path
+        assert _delta_set(g.adj, g.n, _mask_of(s), p - len(s)) == _mask_of(s | cover.junctions), g.graph6()
 
 
 class TestForestCoverCount:

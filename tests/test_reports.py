@@ -8,6 +8,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrbounds as mb
 from mrbounds import certificates, deletion, reports
@@ -155,6 +156,22 @@ class TestComputeReportSharesSearches:
         assert (r.z, r.witnesses["z"]) == (z, tuple(sorted(z_wit)))
         assert (r.m_lower_numeric, r.m_exact) == (sw.numeric_lower, sw.m_exact)
         assert (sw.t_minus, sw.z, sw.t_plus, sw.delta_plus) == (r.t_minus, r.z, r.t_plus, r.delta_plus)
+
+    def test_mask_witnesses_match_public_entry_points(self):
+        # compute_report takes its witnesses as masks from the walk and
+        # upgrades delta on masks; the public entry points build witnesses
+        rng = random.Random(20261020)
+        graphs = []
+        while len(graphs) < 60:
+            k = len(graphs)
+            g = random_graph(9 + k % 5, (0.2, 0.35, 0.6)[k % 3], rng)
+            if not mb.classify(g).is_forest:
+                graphs.append(g)
+        for g in graphs:
+            r = mb.compute_report(g)
+            for name, w in (("t_minus", mb.t_minus(g)), ("t_plus", mb.t_plus(g)),
+                            ("delta", mb.delta(g)), ("delta_plus", mb.delta_plus(g))):
+                assert (getattr(r, name), r.witnesses[name]) == (w.value, tuple(sorted(w.s))), (g.graph6(), name)
 
     @pytest.mark.parametrize("g", [mb.cycle_graph(5), mb.wheel_graph(6)], ids=["C5", "W6"])
     def test_numeric_matches_m_sandwich(self, g):
@@ -411,6 +428,20 @@ class TestSurvey:
             mb.survey_open_questions(max_n)
 
 
+def assert_cell_reads_like_json(cell):
+    """_cell_value returns what json.loads returns (None for an empty
+    cell), or raises its one ValueError where json.loads raises."""
+    try:
+        expected = None if cell == "" else json.loads(cell)
+    except ValueError:
+        with pytest.raises(ValueError) as err:
+            reports._cell_value(cell, "col")
+        assert str(err.value) == f"col cell {cell!r} is not a JSON value"
+    else:
+        got = reports._cell_value(cell, "col")
+        assert type(got) is type(expected) and repr(got) == repr(expected)
+
+
 class TestSerialization:
     def reports(self):
         return [
@@ -612,6 +643,21 @@ class TestSerialization:
             record = dict(mb.compute_report(mb.path_graph(3)).to_dict(), witnesses=[1])
         with pytest.raises(TypeError, match="not a JSON object"):
             mb.ParameterReport.from_dict(record)
+
+    # the cells a report writes, and the edge cases of the direct read: a
+    # leading zero, plus or space, non-ASCII digits, and an integer past
+    # CPython's 4,300-digit limit, where json.loads and int() both raise
+    @pytest.mark.parametrize("cell", [
+        "", "true", "false", "0", "-0", "7", "-12", "01", "-01", "+1", " 7", "7 ", "1e2", "1.0",
+        "True", "null", "NaN", "-", "\u0663", "1" * 400, "9" * 5000,
+    ], ids=lambda cell: repr(cell[:12]))
+    def test_cell_value_is_json_loads(self, cell):
+        assert_cell_reads_like_json(cell)
+
+    @settings(database=None, deadline=None)
+    @given(st.one_of(st.text(max_size=8), st.from_regex(r"-?[0-9]{1,6}", fullmatch=True)))
+    def test_cell_value_is_json_loads_on_any_text(self, cell):
+        assert_cell_reads_like_json(cell)
 
     def test_emit_is_deterministic(self):
         reps = self.reports()[:2]
