@@ -25,12 +25,15 @@ _delta_values is the oracle the corpus checks compare with: one pass over
 all kept sets that builds each one's path count from the kept set without
 its top vertex, with no code shared with the walk or the covers.
 
-Each component's walk runs in (size, lex) order and each record keeps only
-strict improvements.  Three cuts shorten it without changing a witness: it
-drops every prefix whose kept sets must all hold a cycle, a minimizing
-record stops once no larger set can beat it, and t_minus's record stops at
-the Gallai-Milgram bound.  _component_walk's docstring states and proves
-them.
+Each component's walk runs size by size and each record keeps only strict
+improvements, or a tie at the same size from a lex-earlier set, so each
+record ends on its (size, lex)-first optimum.  Five cuts shorten it without
+changing a witness: it drops every prefix whose kept sets must all hold a
+cycle; it takes the vertices in descending degree, so that cut fires
+sooner; it skips every set with a vertex that could be put back into the
+kept set at no loss (the put-back rule); a minimizing record stops once no
+larger set can beat it; and t_minus's record stops at the Gallai-Milgram
+bound.  _component_walk's docstring states and proves them.
 
 The count is one level BFS (core._level_bfs) per kept set: the BFS finds
 the components for the forest test, and its levels, deepest first, order
@@ -112,19 +115,23 @@ def _suffix_degrees(adj, vs, limit: int) -> list[list[int]]:
     return suffix
 
 
-def _deletion_sets(adj, vs, q: int, edges: int, suffix) -> list[tuple[int, int]]:
-    """[(S, e(K))] for the q-subsets S of ``vs`` in lex order, as masks,
-    where K is the rest of ``vs`` and ``edges`` = e(vs).
+def _deletion_sets(adj, vs, q: int, edges: int, suffix, need: int) -> list[tuple[int, int]]:
+    """[(S, e(K))] for the q-subsets S of ``vs`` in the order of
+    itertools.combinations over ``vs`` as given, as masks, where K is the
+    rest of ``vs`` and ``edges`` = e(vs), less the sets that hold a vertex
+    with fewer than ``need`` neighbours outside the vertices of S before it
+    in ``vs``.
 
     The list holds one size's sets, at most core.SEARCH_MAX_SETS by _walk's
     work cap.  The walk recurses over prefixes and carries S and e(K):
-    deleting v takes off the edges v still has into K.  A level stops at the
-    first candidate vs[i] where even the r largest degrees among vs[i:]
-    (``suffix`` from _suffix_degrees), r = the choices left, leave e(K) >=
-    |K| > 0: their kept sets, and those of every later candidate, have a
-    cycle.  At the root this skips the whole size.  The last choice appends
-    its set in the loop, if e(K) stays below that bound, which saves one
-    call per set.  The sets come in the same order as itertools.combinations.
+    deleting v takes off the edges v still has into K, and v is skipped when
+    those are fewer than ``need`` (the put-back rule of _component_walk).  A
+    level stops at the first candidate vs[i] where even the r largest
+    degrees among vs[i:] (``suffix`` from _suffix_degrees), r = the choices
+    left, leave e(K) >= |K| > 0: their kept sets, and those of every later
+    candidate, have a cycle.  At the root this skips the whole size.  The
+    last choice appends its set in the loop, if e(K) stays below that bound,
+    which saves one call per set.
     """
     nc = len(vs)
     # a kept set with this many edges has a cycle; the empty kept set has none
@@ -139,11 +146,13 @@ def _deletion_sets(adj, vs, q: int, edges: int, suffix) -> list[tuple[int, int]]
             if e - suffix[i][r] >= cyclic:
                 return
             v = vs[i]
-            kept = e - (adj[v] & ~s).bit_count()
+            cut = (adj[v] & ~s).bit_count()
+            if cut < need:
+                continue
             if r > 1:
-                extend(i + 1, r - 1, s | 1 << v, kept)
-            elif kept < cyclic:
-                out.append((s | 1 << v, kept))
+                extend(i + 1, r - 1, s | 1 << v, e - cut)
+            elif e - cut < cyclic:
+                out.append((s | 1 << v, e - cut))
 
     extend(0, q, 0, edges)
     return out
@@ -166,15 +175,49 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     """[(value, deletion set mask, leftover count)] per name in ``names`` on
     one connected component with ``edges`` edges, each within its size in ``limits``.
 
-    One walk over the deletion sets in ascending (size, lex) order feeds a
-    record per name, each of t_minus, t_plus and delta_plus (_RECORDS).
-    Each kept set K is counted once, by _forest_cover, into its cover
-    number P.  A forest K with c trees has e(K) = |K| - c and P >= c, with
-    equality exactly when each tree is a path; so K is a linear forest iff
-    P = |K| - e(K), and then P is its path count p.  delta_plus sees only
-    those kept sets.  A record scores P - |S| (t_minus) or P + |S| (t_plus,
-    delta_plus) and keeps only strict improvements, so its optimum is
-    canonical.
+    One walk over the deletion sets, size by size, feeds a record per name,
+    each of t_minus, t_plus and delta_plus (_RECORDS).  Each kept set K is
+    counted once, by _forest_cover, into its cover number P.  A forest K
+    with c trees has e(K) = |K| - c and P >= c, with equality exactly when
+    each tree is a path; so K is a linear forest iff P = |K| - e(K), and
+    then P is its path count p.  delta_plus sees only those kept sets.  A
+    record scores P - |S| (t_minus) or P + |S| (t_plus, delta_plus) and
+    keeps a set that scores strictly better, or as well at the same size
+    and earlier in lex order: of two sets of one size, that is the one
+    holding the least element of their symmetric difference.  So its
+    optimum is the (size, lex)-first one among the sets walked.
+
+    Within a size the vertices are taken in descending degree, ties by
+    label, so that _deletion_sets' suffix-degree prune returns sooner.
+    Cyclic kept sets never reach the count: a forest on k >= 1 vertices has
+    fewer than k edges, and deleting a vertex takes off at most its degree,
+    so _deletion_sets drops every prefix whose kept sets would keep e(K) >=
+    |K| > 0 edges even after the largest degrees left are deleted.
+    _forest_cover returns None on any other cycle.
+
+    The put-back rule skips every set S with a vertex v that has fewer than
+    ``need`` neighbours outside the vertices picked before it, so fewer
+    than ``need`` in K; need is 2 while only t+- records walk and 1 while
+    delta_plus does.  No such S is a record's canonical optimum, as S - v,
+    one size smaller, scores at least as well:
+
+    * t+- (need 2): v has at most one neighbour in the forest K, so K + v is
+      a forest in which v is isolated or a leaf.  Dropping v from a path
+      cover of K + v leaves a cover of K with no more paths, and adding v
+      as a path of its own covers K + v, so P(K + v) is P(K) or P(K) + 1.
+      Then S - v scores P(K + v) - |S| + 1 > P(K) - |S| for t_minus and
+      P(K + v) + |S| - 1 <= P(K) + |S| for t_plus.
+    * delta_plus (need 1): v has no neighbour in the linear forest K, so
+      K + v is one with p(K + v) = p(K) + 1, and S - v scores p(K) + |S|,
+      the same.
+
+    A record walks every size up to the one it stops at, and need only
+    rises, from 1 to 2 once delta_plus stops, so every skip a record sees
+    falls under its own case.  Each skipped set is so beaten or matched by
+    a smaller set, and by induction on size by a smaller set the walk keeps
+    (the empty set is never skipped).  So every size ends with the same best as a walk of all
+    sets, the stop rules below decide exactly as they would there, and each
+    record's witness is the (size, lex)-first optimum of all sets.
 
     Two cuts stop a record at size q, and a size is walked only while some
     record has not stopped; neither changes a record's witness:
@@ -191,14 +234,9 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
       independent vertex each.  alpha is computed once, when the nc bound
       first fails to stop a record, and only while 2^nc <= SEARCH_MAX_SETS,
       so it stays within the work cap.
-
-    Cyclic kept sets never reach the count: a forest on k >= 1 vertices has
-    fewer than k edges, and deleting a vertex takes off at most its degree,
-    so _deletion_sets drops every prefix whose kept sets would keep e(K) >=
-    |K| > 0 edges even after the largest degrees left are deleted.
-    _forest_cover returns None on any other cycle.
     """
-    vs = tuple(_bits(comp))
+    # descending degree; sorted is stable, so ties stay in label order
+    vs = sorted(_bits(comp), key=lambda v: adj[v].bit_count(), reverse=True)
     nc = len(vs)
     # per name: [minimize, linear forests only, size cap, best value, its
     # set, its count]
@@ -210,8 +248,9 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     active = records
     for q in itertools.count():
         walking = []
+        need = 2  # the put-back rule's bound, 1 while delta_plus walks
         for rec in active:
-            minimize, _, cap, best, _, _ = rec
+            minimize, paths_only, cap, best, _, _ = rec
             if q > cap:
                 continue
             if best is not None:
@@ -226,21 +265,27 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
                     if alpha - q <= best:
                         continue
             walking.append(rec)
+            if paths_only:
+                need = 1
         active = walking
         if not active:
             break
-        for s, kept in _deletion_sets(adj, vs, q, edges, suffix):
+        for s, kept in _deletion_sets(adj, vs, q, edges, suffix, need):
             p = _forest_cover(adj, comp & ~s, kept)
             if p is None:
                 continue
             linear = p == nc - q - kept
             for rec in active:
-                minimize, paths_only, _, best, _, _ = rec
+                minimize, paths_only, _, best, best_s, _ = rec
                 if paths_only and not linear:
                     continue
                 val = p + q if minimize else p - q
                 if best is None or (val < best if minimize else val > best):
                     rec[3:] = val, s, p
+                elif val == best and best_s.bit_count() == q:
+                    d = s ^ best_s
+                    if d & -d & s:
+                        rec[3:] = val, s, p
     assert all(rec[3] is not None for rec in records)
     return [(best, s, p) for _, _, _, best, s, p in records]
 

@@ -147,6 +147,22 @@ class TestWitnesses:
             w = mb.delta_plus(g)
             assert (w.s, w.value, w.p_or_cover) == first_optima(g)["delta_plus"], g.graph6()
 
+    def test_witnesses_when_degree_and_label_order_disagree(self):
+        # relabel so that the higher a vertex's degree, the higher its label:
+        # the walk takes vertices in descending degree, against lex order,
+        # and must still return the (size, lex)-first optimum of each record
+        rng = random.Random(20261020)
+        for k in range(150):
+            n = rng.randint(2, 8)
+            g = random_tree(n, rng) if k % 4 == 0 else random_graph(n, (0.25, 0.4, 0.6)[k % 3], rng)
+            order = sorted(range(n), key=lambda v: (g.adj[v].bit_count(), v))
+            label = {v: i for i, v in enumerate(order)}
+            h = Graph.from_edges(n, [(label[u], label[v]) for u, v in g.edges])
+            ref = first_optima(h)
+            joint = _search(h, ("t_minus", "t_plus", "delta_plus"))
+            for w in (mb.t_minus(h), mb.t_plus(h), mb.delta_plus(h), *joint):
+                assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (w.parameter, h.graph6())
+
     def test_delta_brute_cap(self):
         # the cap is per component: P17 is refused, 17 isolated vertices are not
         with pytest.raises(DeletionError, match="17-vertex component"):
@@ -208,6 +224,24 @@ class TestPrunedKernel:
             assert seen
             assert all(rest == 0 or _edge_count(g.adj, rest) < rest.bit_count() for rest in seen), asked
 
+    def test_put_back_rule_fires_on_twin_leaves(self, monkeypatch):
+        # K_1,15: every deletion set that holds the centre and a leaf has a
+        # leaf with no neighbour left in K, so of the 2^15 sets with the
+        # centre the walk counts only {0}; with the empty set and the leaf
+        # sets of sizes 1..13 that makes 32,753 kept sets, where a walk
+        # without the rule counts 65,399
+        count = deletion._forest_cover
+        seen = []
+
+        def spy(adj, rest, edges):
+            seen.append(rest)
+            return count(adj, rest, edges)
+
+        monkeypatch.setattr(deletion, "_forest_cover", spy)
+        w = mb.delta_plus(mb.star_graph(16))
+        assert sorted(w.s) == list(range(1, 14)) and w.value == 14
+        assert len(seen) <= 32_753
+
 
 def kept_set_sweep(adj, n):
     """Reference for _delta_values: (delta, delta_plus) from the path count of
@@ -261,11 +295,11 @@ class TestDeletionSetWalk:
     the components _component_walk passes it."""
 
     @staticmethod
-    def walk(g, q, vs=None, limit=None):
+    def walk(g, q, vs=None, limit=None, need=0):
         # vs defaults to the whole graph, and the suffix table's limit to q
         vs = tuple(range(g.n)) if vs is None else vs
         edges = _edge_count(g.adj, _mask_of(vs))
-        return _deletion_sets(g.adj, vs, q, edges, _suffix_degrees(g.adj, vs, q if limit is None else limit))
+        return _deletion_sets(g.adj, vs, q, edges, _suffix_degrees(g.adj, vs, q if limit is None else limit), need)
 
     @staticmethod
     def combinations(g, q, vs=None):
@@ -276,10 +310,40 @@ class TestDeletionSetWalk:
             out.append((s, _edge_count(g.adj, _mask_of(vs) & ~s)))
         return out
 
-    def kept(self, g, q, vs=None):
-        # the sets whose kept part K has e(K) < |K|, or K empty, in lex order
-        nc = g.n if vs is None else len(vs)
-        return [(s, e) for s, e in self.combinations(g, q, vs) if e < max(nc - q, 1)]
+    def kept(self, g, q, vs=None, need=0):
+        # the sets whose kept part K has e(K) < |K|, or K empty, and none of
+        # whose vertices has fewer than need neighbours outside the vertices
+        # of S before it in vs, in the order of combinations over vs
+        vs = tuple(range(g.n)) if vs is None else vs
+        out = []
+        for s, e in self.combinations(g, q, vs):
+            before = 0
+            put_back = False
+            for v in vs:
+                if s >> v & 1:
+                    put_back = put_back or (g.adj[v] & ~before).bit_count() < need
+                    before |= 1 << v
+            if e < max(len(vs) - q, 1) and not put_back:
+                out.append((s, e))
+        return out
+
+    @staticmethod
+    def graphs(rng):
+        """(graph, vertex set) pairs of the kinds the label-order tests below
+        use: empty graphs, trees, dense graphs and 30 seeded random graphs
+        with n 10..13, whole, and the components of 10 interleaved unions."""
+        for g in [Graph.from_edges(n) for n in range(6)] + [random_tree(n, rng) for n in (1, 4, 7, 9)]:
+            yield g, tuple(range(g.n))
+        for g in [mb.complete_graph(6), mb.wheel_graph(7)] + [random_graph(9, p, rng) for p in (0.3, 0.5, 0.8)]:
+            yield g, tuple(range(g.n))
+        seeded = random.Random(20261019)
+        for k in range(30):
+            g = random_graph(10 + k % 4, (0.2, 0.35, 0.6)[k % 3], seeded)
+            yield g, tuple(range(g.n))
+        for _ in range(10):
+            g = interleaved_union(rng)
+            for comp in _level_bfs(g.adj, (1 << g.n) - 1)[1]:
+                yield g, tuple(_bits(comp))
 
     def test_lex_order_when_no_prune_fires(self, rng):
         # every kept set of a forest is a forest, so nothing is pruned
@@ -318,6 +382,16 @@ class TestDeletionSetWalk:
         g = mb.star_graph(5)  # centre 0 of degree 4, leaves of degree 1
         vs = tuple(range(5))
         assert _suffix_degrees(g.adj, vs, 2) == [[0, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1], [0]]
+
+    @pytest.mark.parametrize("need", [0, 1, 2])
+    def test_put_back_rule_in_degree_order(self, need, rng):
+        # the vertices in descending degree, ties by label, as
+        # _component_walk passes them, with the suffix table built to the
+        # vertex count
+        for g, vs in self.graphs(rng):
+            vs = tuple(sorted(vs, key=lambda v: (-g.adj[v].bit_count(), v)))
+            for q in range(len(vs) + 2):
+                assert self.walk(g, q, vs, len(vs), need) == self.kept(g, q, vs, need), (g.graph6(), vs, q)
 
 
 class TestCaps:
