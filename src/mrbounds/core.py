@@ -324,10 +324,11 @@ def delete_vertices(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
     Returns (subgraph, labels) where labels[i] is the original name of the
     subgraph's vertex i; the map is the order-preserving bijection.
     """
-    s = frozenset(s)
+    s = _vertex_set(g, s)
     labels = tuple(v for v in range(g.n) if v not in s)
     index = {v: i for i, v in enumerate(labels)}
-    return Graph.from_edges(len(labels), [(index[u], index[v]) for u, v in _isolate(g, s).edges]), labels
+    kept = [(index[u], index[v]) for u, v in g.edges if u not in s and v not in s]
+    return Graph.from_edges(len(labels), kept), labels
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@ improvements, or a tie at the same size from a lex-earlier set, so each
 record ends on its (size, lex)-first optimum.  Five cuts shorten it without
 changing a witness: it drops every prefix whose kept sets must all hold a
 cycle; it takes the vertices in descending degree, so that cut fires
-sooner; it skips every set with a vertex that could be put back into the
-kept set at no loss (the put-back rule); a minimizing record stops once no
-larger set can beat it; and t_minus's record stops at the Gallai-Milgram
-bound.  _component_walk's docstring states and proves them.
+sooner and reads the largest degrees left off one running sum; it skips
+every set with a vertex that could be put back into the kept set at no
+loss (the put-back rule); a minimizing record stops once no larger set can
+beat it; and t_minus's record stops at the Gallai-Milgram bound.
+_component_walk's docstring states and proves them.
 
 The count is one level BFS (core._level_bfs) per kept set: the BFS finds
 the components for the forest test, and its levels, deepest first, order
@@ -45,7 +46,6 @@ when P = |K| - e(K).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,47 +103,40 @@ class DeletionWitness:
 # ---------------------------------------------------------------------------
 # the deletion search
 
-def _suffix_degrees(adj, vs, limit: int) -> list[list[int]]:
-    """suffix[i][r]: the sum of the r largest degrees among vs[i:], for
-    r <= min(limit, len(vs) - i)."""
-    tail: list[int] = []  # the degrees of vs[i:], negated and sorted
-    suffix = [[0]]
-    for v in reversed(vs):
-        bisect.insort(tail, -adj[v].bit_count())
-        suffix.append(list(itertools.accumulate((-d for d in tail[:limit]), initial=0)))
-    suffix.reverse()
-    return suffix
-
-
-def _deletion_sets(adj, vs, q: int, edges: int, suffix, need: int) -> list[tuple[int, int]]:
+def _deletion_sets(adj, vs, q: int, edges: int, need: int) -> list[tuple[int, int]]:
     """[(S, e(K))] for the q-subsets S of ``vs`` in the order of
     itertools.combinations over ``vs`` as given, as masks, where K is the
     rest of ``vs`` and ``edges`` = e(vs), less the sets that hold a vertex
     with fewer than ``need`` neighbours outside the vertices of S before it
-    in ``vs``.
+    in ``vs``.  ``vs`` must be in descending degree, as _component_walk
+    passes it.
 
     The list holds one size's sets, at most core.SEARCH_MAX_SETS by _walk's
     work cap.  The walk recurses over prefixes and carries S and e(K):
     deleting v takes off the edges v still has into K, and v is skipped when
     those are fewer than ``need`` (the put-back rule of _component_walk).  A
     level stops at the first candidate vs[i] where even the r largest
-    degrees among vs[i:] (``suffix`` from _suffix_degrees), r = the choices
-    left, leave e(K) >= |K| > 0: their kept sets, and those of every later
-    candidate, have a cycle.  At the root this skips the whole size.  The
-    last choice appends its set in the loop, if e(K) stays below that bound,
-    which saves one call per set.
+    degrees among vs[i:], r = the choices left, leave e(K) >= |K| > 0: their
+    kept sets, and those of every later candidate, have a cycle.  In
+    descending degree those r degrees are those of vs[i:i + r], read off one
+    running sum.  At the root this skips the whole size.  The last choice
+    appends its set in the loop, if e(K) stays below that bound, which saves
+    one call per set.
     """
     nc = len(vs)
     # a kept set with this many edges has a cycle; the empty kept set has none
     cyclic = max(nc - q, 1)
     if not q:
         return [(0, edges)] if edges < cyclic else []
+    degrees = [adj[v].bit_count() for v in vs]
+    assert degrees == sorted(degrees, reverse=True)
+    reach = list(itertools.accumulate(degrees, initial=0))
     out = []
 
     def extend(j: int, r: int, s: int, e: int) -> None:
         # S = s so far, r more vertices to choose from vs[j:]
         for i in range(j, nc - r + 1):
-            if e - suffix[i][r] >= cyclic:
+            if e - (reach[i + r] - reach[i]) >= cyclic:
                 return
             v = vs[i]
             cut = (adj[v] & ~s).bit_count()
@@ -188,11 +181,12 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     optimum is the (size, lex)-first one among the sets walked.
 
     Within a size the vertices are taken in descending degree, ties by
-    label, so that _deletion_sets' suffix-degree prune returns sooner.
-    Cyclic kept sets never reach the count: a forest on k >= 1 vertices has
-    fewer than k edges, and deleting a vertex takes off at most its degree,
-    so _deletion_sets drops every prefix whose kept sets would keep e(K) >=
-    |K| > 0 edges even after the largest degrees left are deleted.
+    label, so that _deletion_sets' cycle prune returns sooner, and the
+    largest degrees left are the next ones.  Cyclic kept sets never reach
+    the count: a forest on k >= 1 vertices has fewer than k edges, and
+    deleting a vertex takes off at most its degree, so _deletion_sets drops
+    every prefix whose kept sets would keep e(K) >= |K| > 0 edges even after
+    the largest degrees left are deleted.
     _forest_cover returns None on any other cycle.
 
     The put-back rule skips every set S with a vertex v that has fewer than
@@ -235,15 +229,14 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
       first fails to stop a record, and only while 2^nc <= SEARCH_MAX_SETS,
       so it stays within the work cap.
     """
-    # descending degree; sorted is stable, so ties stay in label order
+    # descending degree; sorted is stable, so ties stay in label order.  A
+    # component holds every neighbour of its vertices, so adj[v] is the
+    # degree within it
     vs = sorted(_bits(comp), key=lambda v: adj[v].bit_count(), reverse=True)
     nc = len(vs)
     # per name: [minimize, linear forests only, size cap, best value, its
     # set, its count]
     records = [[*_RECORDS[name], limit, None, 0, 0] for name, limit in zip(names, limits)]
-    # a component holds every neighbour of its vertices, so adj[v] is the
-    # degree within it
-    suffix = _suffix_degrees(adj, vs, max(limits))
     alpha = None
     active = records
     for q in itertools.count():
@@ -270,7 +263,7 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
         active = walking
         if not active:
             break
-        for s, kept in _deletion_sets(adj, vs, q, edges, suffix, need):
+        for s, kept in _deletion_sets(adj, vs, q, edges, need):
             p = _forest_cover(adj, comp & ~s, kept)
             if p is None:
                 continue

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -14,7 +15,6 @@ from mrbounds.deletion import (
     _deletion_sets,
     _delta_values,
     _search,
-    _suffix_degrees,
     _t_values,
     _walk,
 )
@@ -289,21 +289,36 @@ class TestDeltaValues:
     def test_families(self, g):
         assert _delta_values(g.adj, g.n) == kept_set_sweep(g.adj, g.n)
 
+    def test_walk_agrees_past_the_corpus(self):
+        # the walk's t_minus and delta_plus against this independent pass on
+        # reports_mid's shapes, 3 graphs per cell of n 12..14 and density
+        # .2, .35, .6
+        rng = random.Random(20261020)
+        for n in (12, 13, 14):
+            for p in (0.2, 0.35, 0.6):
+                for _ in range(3):
+                    g = random_graph(n, p, rng)
+                    values = tuple(v for v, _, _ in _walk(g.adj, n, ("t_minus", "delta_plus")))
+                    assert values == _delta_values(g.adj, n), g.graph6()
+
 
 class TestDeletionSetWalk:
     """_deletion_sets against itertools.combinations, on whole graphs and on
-    the components _component_walk passes it."""
+    the components _component_walk passes it, each in the walk's order:
+    descending degree, ties by label."""
 
     @staticmethod
-    def walk(g, q, vs=None, limit=None, need=0):
-        # vs defaults to the whole graph, and the suffix table's limit to q
-        vs = tuple(range(g.n)) if vs is None else vs
-        edges = _edge_count(g.adj, _mask_of(vs))
-        return _deletion_sets(g.adj, vs, q, edges, _suffix_degrees(g.adj, vs, q if limit is None else limit), need)
+    def order(g, vs=None):
+        # vs defaults to the whole graph
+        vs = range(g.n) if vs is None else vs
+        return tuple(sorted(vs, key=lambda v: (-g.adj[v].bit_count(), v)))
 
-    @staticmethod
-    def combinations(g, q, vs=None):
-        vs = tuple(range(g.n)) if vs is None else vs
+    def walk(self, g, q, vs=None, need=0):
+        vs = self.order(g, vs)
+        return _deletion_sets(g.adj, vs, q, _edge_count(g.adj, _mask_of(vs)), need)
+
+    def combinations(self, g, q, vs=None):
+        vs = self.order(g, vs)
         out = []
         for sub in itertools.combinations(vs, q):
             s = _mask_of(sub)
@@ -314,7 +329,7 @@ class TestDeletionSetWalk:
         # the sets whose kept part K has e(K) < |K|, or K empty, and none of
         # whose vertices has fewer than need neighbours outside the vertices
         # of S before it in vs, in the order of combinations over vs
-        vs = tuple(range(g.n)) if vs is None else vs
+        vs = self.order(g, vs)
         out = []
         for s, e in self.combinations(g, q, vs):
             before = 0
@@ -329,9 +344,9 @@ class TestDeletionSetWalk:
 
     @staticmethod
     def graphs(rng):
-        """(graph, vertex set) pairs of the kinds the label-order tests below
-        use: empty graphs, trees, dense graphs and 30 seeded random graphs
-        with n 10..13, whole, and the components of 10 interleaved unions."""
+        """(graph, vertex set) pairs of the kinds the tests below use: empty
+        graphs, trees, dense graphs and 30 seeded random graphs with n
+        10..13, whole, and the components of 10 interleaved unions."""
         for g in [Graph.from_edges(n) for n in range(6)] + [random_tree(n, rng) for n in (1, 4, 7, 9)]:
             yield g, tuple(range(g.n))
         for g in [mb.complete_graph(6), mb.wheel_graph(7)] + [random_graph(9, p, rng) for p in (0.3, 0.5, 0.8)]:
@@ -367,31 +382,47 @@ class TestDeletionSetWalk:
 
     def test_components_as_the_component_walk_passes_them(self, rng):
         # each component of a union with interleaved labels, read through
-        # the whole graph's adj, with the suffix table built up to the
-        # component size as _component_walk builds it for delta_plus; a q
-        # past the component size gives no sets
+        # the whole graph's adj; a q past the component size gives no sets
         for _ in range(10):
             g = interleaved_union(rng)
             for comp in _level_bfs(g.adj, (1 << g.n) - 1)[1]:
                 vs = tuple(_bits(comp))
                 for q in range(len(vs) + 3):
-                    assert self.walk(g, q, vs, len(vs)) == self.kept(g, q, vs), (g.graph6(), vs, q)
-                assert self.walk(g, len(vs) + 1, vs, len(vs)) == []
+                    assert self.walk(g, q, vs) == self.kept(g, q, vs), (g.graph6(), vs, q)
+                assert self.walk(g, len(vs) + 1, vs) == []
 
-    def test_suffix_table(self):
-        g = mb.star_graph(5)  # centre 0 of degree 4, leaves of degree 1
-        vs = tuple(range(5))
-        assert _suffix_degrees(g.adj, vs, 2) == [[0, 4, 5], [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1], [0]]
+    def test_cycle_prune_fires(self):
+        # on K8 every kept set of 6 or 5 vertices has a cycle, so the root
+        # level returns at its first candidate: one call of extend, and a
+        # walk with no prune would recurse into every prefix
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "extend":
+                calls.append(frame.f_code)
+
+        g = mb.complete_graph(8)
+        old = sys.getprofile()
+        for q in (2, 3):
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                sets = _deletion_sets(g.adj, tuple(range(8)), q, 28, 0)
+            finally:
+                sys.setprofile(old)
+            assert sets == [] and len(calls) == 1, (q, len(calls))
+
+    def test_order_guard(self):
+        # the prune reads the largest degrees left off the next vertices, so
+        # a vertex order that is not descending in degree is refused
+        with pytest.raises(AssertionError):
+            _deletion_sets(mb.star_graph(5).adj, (1, 2, 3, 4, 0), 1, 4, 0)
 
     @pytest.mark.parametrize("need", [0, 1, 2])
     def test_put_back_rule_in_degree_order(self, need, rng):
-        # the vertices in descending degree, ties by label, as
-        # _component_walk passes them, with the suffix table built to the
-        # vertex count
         for g, vs in self.graphs(rng):
-            vs = tuple(sorted(vs, key=lambda v: (-g.adj[v].bit_count(), v)))
             for q in range(len(vs) + 2):
-                assert self.walk(g, q, vs, len(vs), need) == self.kept(g, q, vs, need), (g.graph6(), vs, q)
+                assert self.walk(g, q, vs, need) == self.kept(g, q, vs, need), (g.graph6(), vs, q)
 
 
 class TestCaps:
