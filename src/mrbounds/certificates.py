@@ -486,7 +486,7 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     above t_minus; the first verified convergence sets numeric_lower.  Each
     target runs certificate_search at its default settings from ``seed``;
     call certificate_search directly for other settings.  The first target is
-    min(upper, n), so a numeric claim never exceeds the exact upper bound.
+    upper (<= Z <= n), so a numeric claim never exceeds the exact upper bound.
     Forest bounds that disagree are a contradiction and raise
     CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
@@ -509,7 +509,7 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
         if _is_forest_mask(g.adj, (1 << g.n) - 1):
             raise CertificateConflict(f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}")
         if numeric:
-            for k in range(min(s.upper, g.n), max(tm, 0), -1):
+            for k in range(s.upper, max(tm, 0), -1):
                 cert = certificate_search(g, g.n - k, seed=seed)
                 if cert.converged and verify_certificate(cert):
                     s = replace(s, numeric_lower=k)

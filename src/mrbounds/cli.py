@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: compute, family, verify-chain, survey, certify, zf.
+Subcommands: compute, family, verify-chain, survey, certify, zf; each
+subparser names its handler with set_defaults(run=...), and main calls it.
 Exit codes: 0 success; 1 verification failure (a chain violation, a
 certificate search that did not converge, or bounds that contradict each
 other); 2 usage error, such as a bad graph6 record or rank target.
@@ -50,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--numeric", action="store_true", help="also run rank certificates")
     p_compute.add_argument("--format", choices=("json", "csv"), default="json")
     p_compute.add_argument("--out", help="output path (default: stdout)")
+    p_compute.set_defaults(run=_cmd_compute)
 
     p_family = sub.add_parser("family", help="emit a named family member as graph6")
     p_family.add_argument(
@@ -65,14 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="k=v",
         help="extra integer parameters, e.g. legs=4 leg_length=3",
     )
+    p_family.set_defaults(run=_cmd_family)
 
     p_verify = sub.add_parser("verify-chain", help="check the parameter chain over the corpus")
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--connected-only", action="store_true")
+    p_verify.set_defaults(run=_cmd_verify_chain)
 
     p_survey = sub.add_parser("survey", help="equality-class survey over the corpus")
     p_survey.add_argument("--max-n", type=int, required=True)
     p_survey.add_argument("--out", help="write the full JSON summary here")
+    p_survey.set_defaults(run=_cmd_survey)
 
     p_certify = sub.add_parser("certify", help="alternating-projection rank certificate")
     p_certify.add_argument("--graph6", required=True)
@@ -83,9 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
     p_certify.add_argument("--seed", type=int, default=0)
     p_certify.add_argument("--out", help="write the certificate JSON here")
+    p_certify.set_defaults(run=_cmd_certify)
 
     p_zf = sub.add_parser("zf", help="zero forcing number and witness")
     p_zf.add_argument("--graph6", required=True)
+    p_zf.set_defaults(run=_cmd_zf)
 
     return parser
 
@@ -179,16 +186,8 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "family": _cmd_family,
-        "verify-chain": _cmd_verify_chain,
-        "survey": _cmd_survey,
-        "certify": _cmd_certify,
-        "zf": _cmd_zf,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except CertificateConflict as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE

@@ -393,17 +393,17 @@ def _delta_values(adj, n: int) -> tuple[int, int]:
 def delta(g: Graph) -> DeletionWitness:
     """max of p - |S| over deletion sets leaving p disjoint paths.
 
-    The witness comes from t_minus: the two parameters agree on every graph,
-    and deleting the junction vertices of each tree's greedy cover turns the
-    t_minus forest into a linear forest without changing the score.  It is
-    not always the (size, lex)-first delta optimum.  _delta_values
-    recomputes the value by its own kept-set sweep.
+    The witness comes from the t_minus walk: the two parameters agree on
+    every graph, and deleting the junction vertices of each tree's greedy
+    cover turns the t_minus forest into a linear forest without changing the
+    score.  It is not always the (size, lex)-first delta optimum.
+    _delta_values recomputes the value by its own kept-set sweep.
     """
-    tm = t_minus(g)
     adj = g.adj
-    s = _delta_set(adj, g.n, _mask_of(tm.s), tm.value)
+    ((value, s, _),) = _walk(adj, g.n, ("t_minus",))
+    s = _delta_set(adj, g.n, s, value)
     deco = _decomposition_of_mask(adj, (1 << g.n) - 1 & ~s)
-    return DeletionWitness("delta", frozenset(_bits(s)), tm.value, deco, deco.p)
+    return DeletionWitness("delta", frozenset(_bits(s)), value, deco, deco.p)
 
 
 def _delta_set(adj, n: int, s: int, value: int) -> int:

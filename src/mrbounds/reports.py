@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 from . import deletion
 # m_sandwich, delta, delta_plus, t_minus and t_plus are unused here; they stay
 # module attributes only for perfbench/tracing.py and tests/test_trace_sites.py
-from .certificates import _sandwich, m_sandwich
+from .certificates import MSandwich, _sandwich, m_sandwich
 from .core import Graph, _bits, _check_int, _is_forest_mask, _level_bfs, _unchecked_graph, parse_graph6
 from .deletion import _delta_set, _delta_values, _t_values, delta, delta_plus, t_minus, t_plus
 from .forcing import _z_value, zero_forcing_number
@@ -99,10 +99,10 @@ class ParameterReport:
         never writes, a witness that is not a strictly increasing list of
         vertices in 0..n-1, a graph6 that does not decode, and an n, m or
         is_forest that the decoded graph does not have, and an m_exact or
-        m_lower_numeric outside the record's bracket: t_minus <= m_exact <=
-        min(z, t_plus), m_lower_numeric <= min(z, t_plus) and m_lower_numeric
-        <= m_exact.  ``chain_ok`` is loaded as written, even where check_chain
-        disagrees."""
+        m_lower_numeric outside the record's bracket, read off the record's
+        MSandwich: lower <= m_exact <= upper when m_exact is set, else
+        m_lower_numeric <= upper.  ``chain_ok`` is loaded as written, even
+        where check_chain disagrees, and so is a t_minus above upper."""
         if not isinstance(d, dict):
             raise TypeError(f"report record {d!r} is not a JSON object")
         unknown = d.keys() - _FIELD_NAMES
@@ -132,11 +132,11 @@ class ParameterReport:
         g = parse_graph6(r.graph6)  # Graph6Error is a ValueError
         if (r.n, r.m, r.is_forest) != (g.n, g.m, _is_forest_mask(g.adj, (1 << g.n) - 1)):
             raise ValueError(f"n, m, is_forest {r.n, r.m, r.is_forest} do not fit graph6 {r.graph6!r}")
-        exact, numeric, upper = r.m_exact, r.m_lower_numeric, min(r.z, r.t_plus)
-        if ((exact is not None and not r.t_minus <= exact <= upper)
-                or (numeric is not None and not numeric <= (upper if exact is None else exact))):
-            raise ValueError(f"m_exact {exact}, m_lower_numeric {numeric} lie outside the bracket"
-                             f" [{r.t_minus}, {upper}]")
+        if r.m_exact is not None or r.m_lower_numeric is not None:
+            s = MSandwich(r.t_minus, r.m_lower_numeric, r.z, r.t_plus, r.delta_plus, r.m_exact)
+            if not (s.lower <= s.m_exact <= s.upper if s.m_exact is not None else s.numeric_lower <= s.upper):
+                raise ValueError(f"m_exact {s.m_exact}, m_lower_numeric {s.numeric_lower} lie outside the bracket"
+                                 f" [{s.t_minus}, {s.upper}]")
         return r
 
 

@@ -14,10 +14,9 @@ from mrbounds import Graph, classify, delete_vertices, min_path_cover
 
 def pruefer_edges(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
     """The edge set of the tree with Pruefer sequence ``seq`` (length n-2,
-    entries in 0..n-1), built as a set of sorted pairs in the order the
-    decoding meets them, then frozen.  That fixes the set's iteration order,
-    which tests that draw random numbers while iterating the edges rely on;
-    Graph.edges makes no promise about it."""
+    entries in 0..n-1), as sorted pairs.  Its iteration order is not
+    promised: a test that draws random numbers per edge iterates
+    ``sorted(...)``."""
     if n <= 2:
         edges = [(0, 1)] if n == 2 else []
     else:
@@ -36,10 +35,7 @@ def pruefer_edges(seq: tuple[int, ...], n: int) -> frozenset[tuple[int, int]]:
         u = heapq.heappop(leaf_heap)
         w = heapq.heappop(leaf_heap)
         edges.append((u, w))
-    norm = set()
-    for u, v in edges:
-        norm.add((u, v) if u < v else (v, u))
-    return frozenset(norm)
+    return frozenset((u, v) if u < v else (v, u) for u, v in edges)
 
 
 def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:

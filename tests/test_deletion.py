@@ -13,6 +13,7 @@ from mrbounds.core import _bits, _decomposition_of_mask, _edge_count, _level_bfs
 from mrbounds.deletion import (
     DeletionError,
     _deletion_sets,
+    _delta_set,
     _delta_values,
     _search,
     _t_values,
@@ -131,6 +132,31 @@ class TestWitnesses:
         assert sorted(w.s) == [0]
         w = mb.t_plus(mb.cycle_graph(5))
         assert sorted(w.s) == [0]
+
+    def test_delta_walks_once(self, monkeypatch):
+        # delta reads the t_minus value and mask off one walk and builds one
+        # decomposition, its witness's; the witness is the t_minus upgrade
+        rng = random.Random(20261031)
+        graphs = [FIG1, random_tree(9, rng)] + [random_graph(n, p, rng) for n, p in ((6, 0.4), (8, 0.3), (10, 0.5))]
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for g in graphs:
+            tm = mb.t_minus(g)
+            s = _delta_set(g.adj, g.n, _mask_of(tm.s), tm.value)
+            deco = _decomposition_of_mask(g.adj, (1 << g.n) - 1 & ~s)
+            with monkeypatch.context() as m:
+                m.setattr(deletion, "_walk", spy("walk", deletion._walk))
+                m.setattr(deletion, "_decomposition_of_mask", spy("decomposition", _decomposition_of_mask))
+                calls.clear()
+                w = mb.delta(g)
+            assert sorted(calls) == ["decomposition", "walk"], g.graph6()
+            assert (w.s, w.value, w.decomposition, w.p_or_cover) == (frozenset(_bits(s)), tm.value, deco, deco.p)
 
     def test_delta_upgrade_equals_brute_value(self, rng):
         for _ in range(60):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -99,12 +100,12 @@ class TestMinPathCover:
 
 def random_forest(rng, max_n=40):
     """A forest on up to ``max_n`` vertices with shuffled labels: a random
-    tree with some edges cut."""
+    tree with some edges cut, drawn over its edges in sorted order."""
     n = rng.randint(1, max_n)
     labels = list(range(n))
     rng.shuffle(labels)
     tree = random_tree_edges(n, rng)
-    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in tree if rng.random() < 0.8])
+    return Graph.from_edges(n, [(labels[u], labels[v]) for u, v in sorted(tree) if rng.random() < 0.8])
 
 
 def labeled_forests(n):
@@ -125,16 +126,25 @@ def labeled_forests(n):
 # checks that the two make the same choices.
 PATHS_JUNCTIONS_SHA256 = "d907c7c90d581d1eb671ad755acda4752614a632cb2e0669c705e63bd9329f5c"
 
+# 3,000 random forests with shuffled labels and up to 30 vertices, one graph6
+# line each, drawn once by random_forest(random.Random(20261024), 30) when it
+# still drew over the tree's edges in set iteration order; stored so that the
+# digest above depends on no such order.  The file's own sha256 is pinned too.
+PINNED_FORESTS = pathlib.Path(__file__).parent / "data" / "pinned_forests.g6"
+PINNED_FORESTS_SHA256 = "e3bbe46d51cced3bd3b3897f334a950bde404afb03b1732b4ad53cccde83ecd6"
+
 
 def pinned_forests():
     """Every labeled forest with n <= 6 (3,272 of them, the empty graph
-    too), then 3,000 seeded random forests with shuffled labels and up to
-    30 vertices."""
+    too), then the forests of PINNED_FORESTS."""
     for n in range(7):
         yield from labeled_forests(n)
-    rng = random.Random(20261024)
-    for _ in range(3000):
-        yield random_forest(rng, 30)
+    for line in PINNED_FORESTS.read_text(encoding="ascii").splitlines():
+        yield mb.parse_graph6(line)
+
+
+def test_pinned_forests_file():
+    assert hashlib.sha256(PINNED_FORESTS.read_bytes()).hexdigest() == PINNED_FORESTS_SHA256
 
 
 def test_paths_and_junctions_digest():

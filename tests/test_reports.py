@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -636,6 +637,50 @@ class TestSerialization:
         for values in ({"m_lower_numeric": 2}, {"m_exact": 0}):
             r = mb.load_reports_json(io.StringIO(json.dumps([dict(good, **values)])))[0]
             assert (r.m_lower_numeric, r.m_exact) == (values.get("m_lower_numeric"), values.get("m_exact"))
+
+    # every (t_minus, z, t_plus, m_lower_numeric, m_exact) of a small grid on
+    # C5's record, 1,600 records, against the bracket rule written out: both
+    # loaders accept exactly what it accepts, with the same message
+    BRACKET_GRID = list(itertools.product(range(-1, 3), range(4), range(4), (None, *range(4)), (None, *range(4))))
+
+    @staticmethod
+    def bracket_rule(t_minus, z, t_plus, numeric, exact):
+        """None if the record loads, else the error text it must raise."""
+        upper = min(z, t_plus)
+        if ((exact is not None and not t_minus <= exact <= upper)
+                or (numeric is not None and not numeric <= (upper if exact is None else exact))):
+            return f"m_exact {exact}, m_lower_numeric {numeric} lie outside the bracket [{t_minus}, {upper}]"
+        return None
+
+    def assert_loads_as_the_rule(self, load, text, values):
+        error = self.bracket_rule(*values)
+        if error is None:
+            r = load(io.StringIO(text))[0]
+            assert (r.t_minus, r.z, r.t_plus, r.m_lower_numeric, r.m_exact) == values
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                load(io.StringIO(text))
+
+    @staticmethod
+    def grid_report(base, values):
+        keys = ("t_minus", "z", "t_plus", "m_lower_numeric", "m_exact")
+        return dataclasses.replace(base, **dict(zip(keys, values)))
+
+    def test_json_loads_exactly_the_bracket_rule(self):
+        base = mb.compute_report(mb.cycle_graph(5))
+        accepted = 0
+        for values in self.BRACKET_GRID:
+            text = json.dumps([self.grid_report(base, values).to_dict()])
+            self.assert_loads_as_the_rule(mb.load_reports_json, text, values)
+            accepted += self.bracket_rule(*values) is None
+        assert len(self.BRACKET_GRID) == 1600 and 0 < accepted < 1600
+
+    def test_csv_loads_exactly_the_bracket_rule(self):
+        base = mb.compute_report(mb.cycle_graph(5))
+        for values in random.Random(20261031).sample(self.BRACKET_GRID, 200):
+            buf = io.StringIO()
+            mb.emit_report([self.grid_report(base, values)], format="csv", destination=buf)
+            self.assert_loads_as_the_rule(mb.load_reports_csv, buf.getvalue(), values)
 
     @pytest.mark.parametrize("record", [[1], "witnesses"])
     def test_from_dict_rejects_a_non_object(self, record):
