@@ -10,7 +10,8 @@ a fixed-rank factor and kept only at machine-precision residual.
 Certificates are numerical claims with an explicit tolerance, never proofs;
 m_sandwich combines them with the exact combinatorial bounds and refuses to
 let the numerics override those.  numpy loads on the first numeric call
-(see _NumpyOnFirstUse), so the exact bounds and m_sandwich without a gap
+(see _NumpyOnFirstUse), so the exact bounds, and m_sandwich wherever no
+certificate search runs (no gap, or one the pendant-vertex rule closes),
 run without it.
 
 The rank test: a matrix with singular values sigma (descending) passes at
@@ -29,14 +30,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .core import Graph, _check_int, _is_forest_mask, parse_graph6
+from .core import Graph, _bits, _check_int, _edge_count, _is_forest_mask, _level_bfs, parse_graph6
 from . import deletion
 # _t_minus_op, _t_plus_op and _delta_plus_op are unused here; they stay module
 # attributes only for perfbench/tracing.py and tests/test_trace_sites.py
 from .deletion import delta_plus as _delta_plus_op
 from .deletion import t_minus as _t_minus_op
 from .deletion import t_plus as _t_plus_op
-from .forcing import zero_forcing_number
+from .forcing import _wavefront, zero_forcing_number
+from .pathcover import _forest_cover
 
 __all__ = [
     "CertificateConflict",
@@ -452,11 +454,13 @@ class MSandwich:
 
     Exact bounds: t_minus from below, z and t_plus from above.  The numeric
     lower bound comes from converged rank certificates and is a claim at the
-    search tolerance.  ``m_exact`` is set only when ``lower`` meets
-    ``upper``, so it stays None whenever M < upper, however good the
-    certificates are: no certificate can lift the lower bound past M.  The
-    odd n-suns from n = 5 up are examples: M = max(2, n // 2) (the 5-sun:
-    M = 2 with z = 3), and no bound here closes them from above.
+    search tolerance.  ``m_exact`` is set when ``lower`` meets ``upper``,
+    or, on the numeric path, when it meets the pendant-vertex rule's upper
+    end (_pendant_upper), which can lie below ``upper`` and is not a field.
+    Otherwise it stays None, however good the certificates are: no
+    certificate can lift the lower bound past M.  The odd n-suns from n = 5
+    up are such graphs: M = max(2, n // 2) < z (the 5-sun: M = 2 with z = 3),
+    which only the pendant rule reaches from above.
     """
 
     t_minus: int
@@ -486,7 +490,10 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     above t_minus; the first verified convergence sets numeric_lower.  Each
     target runs certificate_search at its default settings from ``seed``;
     call certificate_search directly for other settings.  The first target is
-    upper (<= Z <= n), so a numeric claim never exceeds the exact upper bound.
+    min(upper, the pendant-vertex rule's exact upper end, _pendant_upper),
+    and upper <= Z <= n, so a numeric claim never exceeds an exact upper
+    bound; when t_minus already meets that first target, ``m_exact`` is set
+    to it and no search runs (the odd n-suns).
     Forest bounds that disagree are a contradiction and raise
     CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
@@ -504,17 +511,87 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
               seed: int = 0) -> MSandwich:
     """m_sandwich on exact bound values already computed for g."""
     s = MSandwich(tm, None, z, tp, dp, None)
-    if tm != s.upper:
+    top = s.upper
+    if tm != top:
         # t_minus = z = t_plus on every forest, so only a gap can be a conflict
         if _is_forest_mask(g.adj, (1 << g.n) - 1):
             raise CertificateConflict(f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}")
         if numeric:
-            for k in range(s.upper, max(tm, 0), -1):
+            top = min(top, _pendant_upper(g.adj, g.n))
+            for k in range(top, max(tm, 0), -1):
                 cert = certificate_search(g, g.n - k, seed=seed)
                 if cert.converged and verify_certificate(cert):
                     s = replace(s, numeric_lower=k)
                     break
-    return replace(s, m_exact=s.upper) if s.lower == s.upper else s
+    return replace(s, m_exact=top) if s.lower == top else s
+
+
+def _pendant_upper(adj, n: int) -> int:
+    """An upper bound on M(G) for the n-vertex graph ``adj``, exact wherever
+    the pendant-vertex rule takes a component down to trees.
+
+    The rule: for a vertex l whose only neighbour is c,
+    M(G) = max(M(G - l), M(G - l - c)), the pendant case of the cut-vertex
+    rank formula (Barioli, Fallat & Hogben, "Computation of minimal rank and
+    path cover number for certain graphs", LAA 2004).  Proof: shift a
+    pattern matrix A of G so that the eigenvalue sits at 0; M(G) is the
+    largest nullity of such an A.
+    * If a_ll != 0, eliminating l (the Schur complement on a_ll) leaves a
+      pattern matrix of G - l that differs from A only in a_cc, with the
+      same nullity.
+    * If a_ll = 0, row l is a_lc at c and 0 elsewhere, with a_lc != 0, so
+      any null vector has x_c = 0, x_l is fixed by row c, and the rest is a
+      null vector of A[G - l - c]: l and c drop out together, and the
+      nullity is kept.
+    * Both constructions reverse: a matrix B of G - l is the Schur
+      complement of its border with a_ll = a_lc = 1 and a_cc = b_cc + 1, and
+      a matrix C of G - l - c keeps its nullity in a border with a_ll = 0,
+      a_lc = 1 and any nonzero edges at c.
+    M adds over components, as each one's diagonal shifts on its own.  A tree
+    scores its path cover number P (pathcover._forest_cover), which is M
+    there, as t_minus = Z = t_plus = P on forests.  A cyclic component
+    recurses on its lowest-labelled pendant vertex, and one with no pendant
+    vertex scores min(Z, t_plus), each found on adjacency restricted to it
+    by the per-component kernels forcing._wavefront and
+    deletion._component_walk.
+
+    Work: scores are memoized by component mask, and every mask is a subset
+    of one component of G, so a component of nc vertices has at most 2^nc
+    entries, the cap that Z's search has already passed on it.  Each entry
+    costs one level BFS, or a wavefront and a t_plus walk on a subgraph,
+    whose closed sets, size and cycle space stay within those of its
+    component.  K8 with a pendant on every vertex takes 493 entries.
+    """
+    memo: dict[int, int] = {}
+
+    def total(mask: int) -> int:
+        return sum(score(comp) for comp in _level_bfs(adj, mask)[1])
+
+    def score(comp: int) -> int:
+        if comp in memo:
+            return memo[comp]
+        nc = comp.bit_count()
+        edges = _edge_count(adj, comp)
+        if edges == nc - 1:
+            value = _forest_cover(adj, comp, edges)
+        else:
+            # comp is connected and holds a cycle, so every vertex has a
+            # neighbour in it, and a pendant's is the single bit ``nb``
+            for leaf in _bits(comp):
+                nb = adj[leaf] & comp
+                if nb & (nb - 1) == 0:
+                    rest = comp ^ 1 << leaf
+                    value = max(score(rest), total(rest ^ nb))
+                    break
+            else:
+                sub = tuple(a & comp for a in adj)
+                limit = min(edges - nc + 1, nc)
+                ((tp, _, _),) = deletion._component_walk(sub, comp, edges, [limit], ("t_plus",))
+                value = min(_wavefront(sub, comp), tp)
+        memo[comp] = value
+        return value
+
+    return total((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------

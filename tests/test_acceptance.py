@@ -212,11 +212,11 @@ def test_criterion_07_multiplicity_certificates():
     # free diagonal of c_i; if that entry is zero, l_i and c_i drop out
     # together with the same nullity.  So M(H_n) is the larger of M(C_n) = 2
     # and the most path components C_n minus a vertex set can have, which is
-    # n // 2.  For n = 5 that gives M = 2 < Z = 3 (t_plus = 4).  m_sandwich
-    # sets m_exact only when its lower bound meets min(Z, t_plus), and no
-    # bound reaches 2 from above, so its bracket is [2, 3], m_exact is None
-    # and may never be anything but 2, and a rank-7 certificate must not
-    # exist.
+    # n // 2.  For n = 5 that gives M = 2 < Z = 3 (t_plus = 4), so the
+    # bracket [lower, upper] = [t_minus, min(Z, t_plus)] stays [2, 3] and a
+    # rank-7 certificate must not exist.  m_sandwich now applies this proof
+    # (certificates._pendant_upper): the rule's upper end 2 meets t_minus,
+    # so m_exact is 2 and no certificate search runs.
     open_brackets = {"sun 5": (2, 3)}
 
     for label, g, r, m_expected in cases:
@@ -229,9 +229,7 @@ def test_criterion_07_multiplicity_certificates():
         if label in open_brackets:
             if (sw.lower, sw.upper) != open_brackets[label]:
                 failures.append(f"{label}: bracket {(sw.lower, sw.upper)} != {open_brackets[label]}")
-            if sw.m_exact not in (None, m_expected):
-                failures.append(f"{label}: m_exact {sw.m_exact} != {m_expected}")
-        elif sw.m_exact != m_expected:
+        if sw.m_exact != m_expected:
             failures.append(f"{label}: m_exact {sw.m_exact} != {m_expected}")
 
     for n in range(4, 9):

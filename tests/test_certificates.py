@@ -4,12 +4,13 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import numpy as np
 import pytest
 
 import mrbounds as mb
-from mrbounds import certificates
+from mrbounds import certificates, deletion, forcing
 from conftest import class_representatives, random_graph
 
 
@@ -414,6 +415,44 @@ class TestMSandwich:
         s = mb.m_sandwich(mb.complete_graph(4))
         assert s.z == s.t_plus == 3
         assert s.m_exact == 3
+
+
+class TestPendantUpper:
+    """The pendant-vertex rule's upper end (certificates._pendant_upper)."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_suns_close_at_their_multiplicity(self, n):
+        # M of the n-sun is max(2, n // 2) (criterion 07's proof)
+        assert mb.m_sandwich(mb.sun_graph(n)).m_exact == max(2, n // 2)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_suns_run_no_search(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certificate_search called")
+
+        monkeypatch.setattr(certificates, "certificate_search", refuse)
+        s = mb.m_sandwich(mb.sun_graph(n))
+        assert (s.numeric_lower, s.m_exact) == (None, n // 2)
+        assert s.lower < s.upper
+
+    def test_every_small_class_meets_the_exact_upper_end(self):
+        # the rule is an upper end on M, so it never falls below t_minus; on
+        # every class with n <= 7, M = min(Z, t_plus), and the rule meets it
+        for n in range(1, 8):
+            for g in class_representatives(n):
+                tm, tp = deletion._t_values(g.adj, g.n)
+                z = forcing._z_value(g.adj, g.n)
+                upper = certificates._pendant_upper(g.adj, g.n)
+                assert tm <= upper == min(z, tp), g.graph6()
+
+    def test_complete_graph_with_pendants_is_fast(self):
+        # K8 with a pendant on every vertex: removing the pendants one by one
+        # leaves K8, so M >= 7 = Z
+        edges = [(i, j) for i in range(8) for j in range(i + 1, 8)] + [(i, 8 + i) for i in range(8)]
+        g = mb.Graph.from_edges(16, edges)
+        start = time.perf_counter()
+        assert certificates._pendant_upper(g.adj, g.n) == 7
+        assert time.perf_counter() - start < 0.5
 
 
 # sha256 of repr(m_sandwich(g)) over sandwich_graphs(), without numerics, then

@@ -42,6 +42,8 @@ step("compute_report(C5)", mb.compute_report(mb.cycle_graph(5)).chain_ok)
 step("zero_forcing_number(W6)", mb.zero_forcing_number(mb.wheel_graph(6))[0])
 step("verify_chain_corpus(3)", mb.verify_chain_corpus(3))
 step("m_sandwich(P5)", mb.m_sandwich(mb.path_graph(5)).m_exact)
+s = mb.m_sandwich(mb.sun_graph(5))
+step("m_sandwich(5-sun)", [s.numeric_lower, s.m_exact])
 for argv in (["zf", "--graph6", "Dhc"], ["compute", "--graph6", "Dhc"],
              ["family", "--kind", "fig4"], ["verify-chain", "--max-n", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -59,6 +61,8 @@ def test_exact_paths_never_load_numpy():
         ["zero_forcing_number(W6)", 3, False],
         ["verify_chain_corpus(3)", [], False],
         ["m_sandwich(P5)", 1, False],
+        # the pendant rule closes the 5-sun's bracket at M = 2 with no search
+        ["m_sandwich(5-sun)", [None, 2], False],
         ["zf --graph6 Dhc", 0, False],
         ["compute --graph6 Dhc", 0, False],
         ["family --kind fig4", 0, False],
