@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .core import Graph, _bits, _check_int, _edge_count, _is_forest_mask, _level_bfs, parse_graph6
+from .core import Graph, _bits, _check_int, _is_forest_mask, _level_bfs, parse_graph6
 from . import deletion
 # _t_minus_op, _t_plus_op and _delta_plus_op are unused here; they stay module
 # attributes only for perfbench/tracing.py and tests/test_trace_sites.py
@@ -38,7 +38,6 @@ from .deletion import delta_plus as _delta_plus_op
 from .deletion import t_minus as _t_minus_op
 from .deletion import t_plus as _t_plus_op
 from .forcing import _wavefront, zero_forcing_number
-from .pathcover import _forest_cover
 
 __all__ = [
     "CertificateConflict",
@@ -118,6 +117,11 @@ def _residual(sigma, r: int) -> float:
     if r >= len(sigma) or sigma[0] == 0:
         return 0.0
     return float(sigma[r]) / float(sigma[0])
+
+
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    """Singular values of the symmetric ``x``, descending: the rank test's input."""
+    return np.sort(np.abs(np.linalg.eigvalsh(x)))[::-1]
 
 
 @dataclass(frozen=True)
@@ -322,7 +326,7 @@ def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float,
     if least < delta:
         entries = pattern.apply(entries * (delta / least), delta)
         least = float(np.min(np.abs(entries[pattern.edge])))
-    sig = np.sort(np.abs(np.linalg.eigvalsh(entries)))[::-1]
+    sig = _spectrum(entries)
     s1 = float(sig[0])
     if s1 == 0.0 or _residual(sig, r) > min(tol, POLISH_TOL) or least < POLISH_EDGE_ACCEPT * s1:
         return None
@@ -441,8 +445,7 @@ def verify_certificate(c: RankCertificate) -> bool:
         _check_tol(c.tol)
     except CertificateError:
         return False
-    sig = np.sort(np.abs(np.linalg.eigvalsh(c.matrix.entries)))[::-1]
-    return _residual(sig, c.r) <= c.tol
+    return _residual(_spectrum(c.matrix.entries), c.r) <= c.tol
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +531,7 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
 
 def _pendant_upper(adj, n: int) -> int:
     """An upper bound on M(G) for the n-vertex graph ``adj``, exact wherever
-    the pendant-vertex rule takes a component down to trees.
+    the pendant-vertex rule leaves only components with Z = M (trees do).
 
     The rule: for a vertex l whose only neighbour is c,
     M(G) = max(M(G - l), M(G - l - c)), the pendant case of the cut-vertex
@@ -547,20 +550,20 @@ def _pendant_upper(adj, n: int) -> int:
       complement of its border with a_ll = a_lc = 1 and a_cc = b_cc + 1, and
       a matrix C of G - l - c keeps its nullity in a border with a_ll = 0,
       a_lc = 1 and any nonzero edges at c.
-    M adds over components, as each one's diagonal shifts on its own.  A tree
-    scores its path cover number P (pathcover._forest_cover), which is M
-    there, as t_minus = Z = t_plus = P on forests.  A cyclic component
-    recurses on its lowest-labelled pendant vertex, and one with no pendant
-    vertex scores min(Z, t_plus), each found on adjacency restricted to it
-    by the per-component kernels forcing._wavefront and
-    deletion._component_walk.
+    M adds over components, as each one's diagonal shifts on its own.  A
+    component recurses on its lowest-labelled pendant vertex.  One with none
+    (a single vertex, or minimum degree >= 2) scores Z, by forcing._wavefront
+    on adjacency restricted to it: Z >= M, Z = M = 1 on a single vertex, and
+    Z <= t_plus on every graph (the lemma of forcing.forcing_set_from_tplus),
+    so t_plus adds nothing.  Trees need no case: a tree on 2 or more vertices
+    has a leaf, so the rule takes it down to single vertices, exactly.
 
     Work: scores are memoized by component mask, and every mask is a subset
     of one component of G, so a component of nc vertices has at most 2^nc
     entries, the cap that Z's search has already passed on it.  Each entry
-    costs one level BFS, or a wavefront and a t_plus walk on a subgraph,
-    whose closed sets, size and cycle space stay within those of its
-    component.  K8 with a pendant on every vertex takes 493 entries.
+    costs one level BFS, or a wavefront on a subgraph, whose closed sets
+    stay within those of its component.  K8 with a pendant on every vertex
+    takes 502 entries.
     """
     memo: dict[int, int] = {}
 
@@ -568,28 +571,16 @@ def _pendant_upper(adj, n: int) -> int:
         return sum(score(comp) for comp in _level_bfs(adj, mask)[1])
 
     def score(comp: int) -> int:
-        if comp in memo:
-            return memo[comp]
-        nc = comp.bit_count()
-        edges = _edge_count(adj, comp)
-        if edges == nc - 1:
-            value = _forest_cover(adj, comp, edges)
-        else:
-            # comp is connected and holds a cycle, so every vertex has a
-            # neighbour in it, and a pendant's is the single bit ``nb``
+        if comp not in memo:
             for leaf in _bits(comp):
                 nb = adj[leaf] & comp
-                if nb & (nb - 1) == 0:
+                if nb and not nb & (nb - 1):
                     rest = comp ^ 1 << leaf
-                    value = max(score(rest), total(rest ^ nb))
+                    memo[comp] = max(score(rest), total(rest ^ nb))
                     break
             else:
-                sub = tuple(a & comp for a in adj)
-                limit = min(edges - nc + 1, nc)
-                ((tp, _, _),) = deletion._component_walk(sub, comp, edges, [limit], ("t_plus",))
-                value = min(_wavefront(sub, comp), tp)
-        memo[comp] = value
-        return value
+                memo[comp] = _wavefront(tuple(a & comp for a in adj), comp)
+        return memo[comp]
 
     return total((1 << n) - 1)
 

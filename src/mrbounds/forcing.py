@@ -17,6 +17,10 @@ Then one scan of the subsets of exactly that size, in lex order, returns
 the first that forces.  The per-component witnesses unite to the global
 (size, lex)-first forcing set by the argument beside
 deletion._component_walk.
+
+_wavefront checks no work cap: _components checks it for the two callers
+here, and certificates._pendant_upper, on subsets of a component with
+adjacency restricted to them, relies on the Z search that passed its cap.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Alternating-projection rank certificates and the multiplicity sandwich."""
 
+import functools
 import hashlib
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 
 import mrbounds as mb
 from mrbounds import certificates, deletion, forcing
-from conftest import class_representatives, random_graph
+from conftest import class_representatives, random_graph, random_tree
 
 
 class TestSampleAndProjectPattern:
@@ -417,6 +418,12 @@ class TestMSandwich:
         assert s.m_exact == 3
 
 
+@functools.cache
+def small_classes() -> tuple:
+    """class_representatives for n = 0..7 (1,253 graphs), enumerated once."""
+    return tuple(g for n in range(8) for g in class_representatives(n))
+
+
 class TestPendantUpper:
     """The pendant-vertex rule's upper end (certificates._pendant_upper)."""
 
@@ -438,12 +445,43 @@ class TestPendantUpper:
     def test_every_small_class_meets_the_exact_upper_end(self):
         # the rule is an upper end on M, so it never falls below t_minus; on
         # every class with n <= 7, M = min(Z, t_plus), and the rule meets it
-        for n in range(1, 8):
-            for g in class_representatives(n):
-                tm, tp = deletion._t_values(g.adj, g.n)
-                z = forcing._z_value(g.adj, g.n)
-                upper = certificates._pendant_upper(g.adj, g.n)
-                assert tm <= upper == min(z, tp), g.graph6()
+        for g in small_classes():
+            tm, tp = deletion._t_values(g.adj, g.n)
+            z = forcing._z_value(g.adj, g.n)
+            upper = certificates._pendant_upper(g.adj, g.n)
+            assert tm <= upper == min(z, tp), g.graph6()
+
+    def test_forests_score_their_path_cover_number(self):
+        # the rule alone takes a tree down to single vertices, and M = P there
+        forests = [g for g in small_classes() if mb.classify(g).is_forest]
+        rng = random.Random(20261020)
+        forests += [random_tree(rng.randint(1, 16), rng) for _ in range(200)]
+        comb = [(i, i + 1) for i in range(7)] + [(i, 8 + i) for i in range(8)]
+        forests += [mb.star_graph(16), mb.Graph.from_edges(16, comb)]
+        for g in forests:
+            assert certificates._pendant_upper(g.adj, g.n) == mb.min_path_cover(g).size, g.graph6()
+
+    def test_empty_single_vertex_and_disjoint_union(self):
+        assert certificates._pendant_upper((), 0) == 0
+        assert certificates._pendant_upper((0,), 1) == 1
+        parts = [mb.sun_graph(5), mb.path_graph(4), mb.Graph(1, ()), mb.cycle_graph(6), mb.wheel_graph(5)]
+        edges, n = [], 0
+        for h in parts:
+            edges += [(u + n, v + n) for u, v in h.edges]
+            n += h.n
+        union = mb.Graph.from_edges(n, edges)
+        scores = [certificates._pendant_upper(h.adj, h.n) for h in parts]
+        assert scores == [2, 1, 1, 2, 3]
+        assert certificates._pendant_upper(union.adj, union.n) == sum(scores)
+
+    def test_pendant_free_graphs_score_z(self):
+        rng = random.Random(20261020)
+        graphs = list(small_classes())
+        graphs += [random_graph(rng.randint(8, 12), 0.4, rng) for _ in range(60)]
+        free = [g for g in graphs if all(g.degree(v) != 1 for v in range(g.n))]
+        assert len(free) > 500
+        for g in free:
+            assert certificates._pendant_upper(g.adj, g.n) == forcing._z_value(g.adj, g.n), g.graph6()
 
     def test_complete_graph_with_pendants_is_fast(self):
         # K8 with a pendant on every vertex: removing the pendants one by one
