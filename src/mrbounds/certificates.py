@@ -17,11 +17,14 @@ run without it.
 The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
 rules hold wherever an argument is taken or loaded: tol non-negative and
-finite, delta positive and finite, and the int rule (core._check_int) for r
-in 0..n, certificate_search's restarts >= 1 and max_iter >= 0, the seed
->= 0 of sample_pattern, certificate_search and m_sandwich, and an n x n
-matrix for project_pattern (a square one for project_rank).  A breach
-raises CertificateError, and verify_certificate returns False.
+finite, delta positive and finite (and at most 1 where patterns are
+sampled: sample_pattern, certificate_search), and the int rule
+(core._check_int) for r in 0..n, certificate_search's restarts >= 1 and
+max_iter >= 0, the seed >= 0 of sample_pattern, certificate_search and
+m_sandwich.  Every matrix has finite entries (_as_matrix), n x n for a
+PatternMatrix and project_pattern, square and exactly symmetric for
+project_rank.  A breach raises CertificateError, and verify_certificate
+returns False.
 """
 
 from __future__ import annotations
@@ -138,9 +141,7 @@ class PatternMatrix:
 
     def validate(self) -> None:
         _check_delta(self.delta)
-        a = _as_matrix(self.entries, self.graph.n)
-        if not np.array_equal(a, a.T):
-            raise CertificateError("entries are not exactly symmetric")
+        a = _as_matrix(self.entries, self.graph.n, symmetric=True)
         p = _Pattern(self.graph)
         bad = np.argwhere(np.triu(np.where(p.edge, np.abs(a) < self.delta, a != 0.0), 1))
         for i, j in bad[:1]:  # the first breach above the diagonal, row-major
@@ -175,12 +176,10 @@ class RankCertificate:
 
 class _Pattern:
     """G's pattern, built once per search: n x n masks ``edge`` (both
-    orientations) and ``diag``, the polish's residual pairs (pi[k], pj[k]),
-    the ``n_free`` non-edges then the edges, each row-major, and at rank r > 0
-    the n·r identity ``eye`` and the flat indices ``scatter_i``, ``scatter_j``
-    of d(res_k)/d(x[pi[k] or pj[k], c]) in the polish Jacobian's buffer."""
+    orientations) and ``diag``, and the polish's residual pairs (pi[k], pj[k]),
+    the ``n_free`` non-edges then the edges, each row-major."""
 
-    def __init__(self, g: Graph, r: int = 0):
+    def __init__(self, g: Graph):
         n, adj = g.n, g.adj
         self.edge = np.array([[adj[i] >> j & 1 for j in range(n)] for i in range(n)], dtype=bool).reshape(n, n)
         self.diag = np.eye(n, dtype=bool)
@@ -189,11 +188,6 @@ class _Pattern:
         self.n_free = int(np.count_nonzero(~on))
         pairs = np.argsort(on, kind="stable")  # non-edges first, each part row-major
         self.pi, self.pj = iu[pairs], ju[pairs]
-        if r > 0:
-            base = np.arange(iu.size)[:, None] * (n * r) + np.arange(r)
-            self.scatter_i = base + self.pi[:, None] * r
-            self.scatter_j = base + self.pj[:, None] * r
-            self.eye = np.eye(n * r)
 
     def apply(self, m: np.ndarray, delta: float) -> np.ndarray:
         """Nearest pattern member to the n x n ``m``, a new array: edge entries
@@ -211,10 +205,12 @@ class _Pattern:
 
 
 def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> PatternMatrix:
-    """Random pattern member: edge entries uniform over +-[delta, 1],
-    diagonal uniform over [-1, 1].  Deterministic for a fixed seed; draws
-    happen in vertex order for the diagonal, then sorted edge order."""
-    _check_delta(delta)
+    """Random pattern member: edge entries uniform over +-[delta, 1], so
+    0 < delta <= 1, and the diagonal uniform over [-1, 1].  Deterministic for
+    a fixed seed; draws happen in vertex order for the diagonal, then sorted
+    edge order."""
+    if not 0 < delta <= 1:
+        raise CertificateError(f"delta={delta} is not in 0 < delta <= 1, the range edges are sampled from")
     _check_int("seed", seed, 0, error=CertificateError)
     rng = np.random.default_rng(seed)
     a = np.zeros((g.n, g.n))
@@ -227,11 +223,17 @@ def sample_pattern(g: Graph, seed: int, delta: float = DELTA_DEFAULT) -> Pattern
     return PatternMatrix(a, g, delta)
 
 
-def _as_matrix(m, n: int) -> np.ndarray:
-    """``m`` as an n x n float array; another shape raises CertificateError."""
+def _as_matrix(m, n: int, symmetric: bool = False) -> np.ndarray:
+    """``m`` as an n x n float array, the gate of every matrix taken or
+    loaded: another shape, a non-finite entry or, with ``symmetric``, an
+    entry that differs from its transpose's raises CertificateError."""
     m = np.asarray(m, dtype=float)
     if m.shape != (n, n):
         raise CertificateError(f"matrix shape {m.shape} is not n x n for n={n}")
+    if not np.isfinite(m).all():
+        raise CertificateError("matrix entries must be finite")
+    if symmetric and not np.array_equal(m, m.T):
+        raise CertificateError("entries are not exactly symmetric")
     return m
 
 
@@ -245,9 +247,10 @@ def project_pattern(m: np.ndarray, g: Graph, delta: float = DELTA_DEFAULT) -> Pa
 
 
 def project_rank(m: np.ndarray, r: int) -> np.ndarray:
-    """Nearest (Frobenius) symmetric matrix of rank <= r: spectral
-    truncation keeping the r eigenvalues of largest magnitude."""
-    m = _as_matrix(m, np.ndim(m) and len(m))
+    """Nearest (Frobenius) symmetric matrix of rank <= r to the exactly
+    symmetric ``m``: spectral truncation keeping the r eigenvalues of largest
+    magnitude.  eigh reads one triangle only, hence the symmetry rule."""
+    m = _as_matrix(m, np.ndim(m) and len(m), symmetric=True)
     _check_int("r", r, 0, m.shape[0], CertificateError)
     if r == m.shape[0]:
         return m.copy()
@@ -263,8 +266,8 @@ def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float,
     edge kept, in its sign, at least POLISH_EDGE_FLOOR times sigma[0] of
     ``a`` in magnitude.  The search loop hands over its eigh (lam, q) of ``a``,
     ``order`` (eigenvalue indices by descending magnitude) and the _Pattern
-    it built once; the Jacobian's flat scatters into a zeroed buffer give
-    the same bits as 3-D indexing, so certificates are unchanged.
+    it built once.  Residual k depends on rows pi[k] and pj[k] of the
+    factor, which differ, so the Jacobian's two writes never overlap.
 
     The result has its non-edges zeroed and is scaled up, if needed, so that
     every edge is at least ``delta`` in magnitude.  It is accepted only if it
@@ -279,6 +282,8 @@ def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float,
     floor = POLISH_EDGE_FLOOR * float(np.abs(lam[order[0]]))
     pi, pj, n_free = pattern.pi, pattern.pj, pattern.n_free
     edge_sign = np.sign(a[pi[n_free:], pj[n_free:]])
+    rows = np.arange(pi.size)
+    eye = np.eye(n * r)
 
     def residuals(x):
         # Non-edge entries should vanish; an edge below its floor costs
@@ -298,9 +303,9 @@ def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float,
     steps = 0
     while steps < POLISH_STEPS and cost > 0.0:
         xs = x * s
-        jac = np.zeros(pi.size * n * r)
-        jac[pattern.scatter_i] = coef[:, None] * xs[pj]
-        jac[pattern.scatter_j] += coef[:, None] * xs[pi]
+        jac = np.zeros((pi.size, n, r))
+        jac[rows, pi] = coef[:, None] * xs[pj]
+        jac[rows, pj] += coef[:, None] * xs[pi]
         jac = jac.reshape(pi.size, n * r)
         grad = jac.T @ res
         hess = jac.T @ jac
@@ -309,7 +314,7 @@ def _polish(a: np.ndarray, lam, q, order, r: int, pattern: _Pattern, tol: float,
         # so ``hess`` is singular; the damping keeps a floor.
         mu = max(1e-3 * scale if mu is None else mu, 1e-12 * scale)
         for _ in range(POLISH_DAMPING_TRIES):
-            step = np.linalg.solve(hess + mu * pattern.eye, -grad)
+            step = np.linalg.solve(hess + mu * eye, -grad)
             x_new = x + step.reshape(n, r)
             res_new, coef_new = residuals(x_new)
             cost_new = float(res_new @ res_new)
@@ -384,7 +389,7 @@ def certificate_search(
     _check_int("restarts", restarts, 1, error=CertificateError)
     _check_int("max_iter", max_iter, 0, error=CertificateError)
     _check_int("seed", seed, 0, error=CertificateError)
-    pattern = _Pattern(g, r)
+    pattern = _Pattern(g)
     best_rel = np.inf
     best: tuple[np.ndarray, np.ndarray, int] | None = None
     converged = False
@@ -651,9 +656,7 @@ def certificate_from_json(text: str) -> RankCertificate:
         raise CertificateError(f"certificate sigma={sigma} is not non-negative, finite and non-increasing")
     if d["iterations"] < 0:
         raise CertificateError(f"certificate iterations={d['iterations']} is negative")
-    entries = floats["entries"].reshape(g.n, g.n)
-    if not np.isfinite(entries).all():
-        raise CertificateError("certificate entries must be finite")
+    entries = _as_matrix(floats["entries"].reshape(g.n, g.n), g.n)
     entries.setflags(write=False)
     return RankCertificate(PatternMatrix(entries, g, delta), d["r"], tuple(sigma), tol, d["converged"], d["iterations"])
 

@@ -103,6 +103,35 @@ class TestSampleAndProjectPattern:
             with pytest.raises(mb.CertificateError):
                 mb.project_pattern(np.zeros((2, 2)), g, delta=delta)
 
+    @pytest.mark.parametrize("delta", [2.0, 1.0000001])
+    def test_delta_above_one_rejected_before_sampling(self, delta):
+        # edge magnitudes come from [delta, 1]; numpy's own error read "high - low < 0"
+        g = mb.path_graph(3)
+        with pytest.raises(mb.CertificateError, match=re.escape("0 < delta <= 1")):
+            mb.sample_pattern(g, 0, delta=delta)
+        with pytest.raises(mb.CertificateError, match=re.escape("0 < delta <= 1")):
+            mb.certificate_search(g, 2, delta=delta)
+        # taking or loading a matrix keeps the rule delta > 0
+        m = mb.project_pattern(np.ones((3, 3)), g, delta=delta)
+        m.validate()
+        assert m.entries[0, 1] == delta
+
+    def test_delta_one_samples_unit_edges(self):
+        g = mb.wheel_graph(6)
+        m = mb.sample_pattern(g, 0, delta=1.0)
+        m.validate()
+        assert all(abs(m.entries[u, v]) == 1.0 for u, v in g.edges)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_rejected(self, bad):
+        # one gate for every matrix: projections, validate and (TestSerialization) the loader
+        g = mb.path_graph(2)
+        m = np.array([[bad, 1.0], [1.0, 0.0]])
+        for call in (lambda: mb.project_rank(m, 1), lambda: mb.project_pattern(m, g),
+                     lambda: mb.PatternMatrix(m, g, 0.1).validate()):
+            with pytest.raises(mb.CertificateError, match="entries must be finite"):
+                call()
+
     def test_validate_catches_violations(self):
         g = mb.path_graph(3)
         sym = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
@@ -165,6 +194,12 @@ class TestProjectRank:
         # the argument rules' error, not numpy's LinAlgError
         with pytest.raises(mb.CertificateError, match=re.escape("shape (3, 4) is not n x n for n=3")):
             mb.project_rank(np.zeros((3, 4)), 2)
+
+    def test_asymmetric_rejected(self):
+        # eigh reads the lower triangle only, so [[0, 1], [0, 0]] would give the
+        # zero matrix (distance 1), not [[-.25, .25], [.25, -.25]] (distance .87)
+        with pytest.raises(mb.CertificateError, match="not exactly symmetric"):
+            mb.project_rank(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
 class TestCertificateSearch:
@@ -304,20 +339,42 @@ class TestCertificateSearch:
 
 
 class TestPolish:
+    C4 = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+
+    @staticmethod
+    def polish_c4(a):
+        # the polish of ``a`` at rank 2, as certificate_search hands it over
+        lam, q = np.linalg.eigh(a)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        pattern = certificates._Pattern(mb.cycle_graph(4))
+        return certificates._polish(a, lam, q, order, 2, pattern, mb.TOL_DEFAULT, mb.DELTA_DEFAULT)
+
     def test_starts_from_the_largest_eigenpairs(self):
         # C4's adjacency matrix has rank 2 (eigenvalues 2, 0, 0, -2) and every
         # edge above the floor 0.3 * sigma[0], so a polish that starts from its
         # two largest-magnitude eigenpairs returns it unchanged
-        g = mb.cycle_graph(4)
-        a = np.zeros((4, 4))
-        for u, v in g.edges:
-            a[u, v] = a[v, u] = 1.0
-        lam, q = np.linalg.eigh(a)
-        order = np.argsort(-np.abs(lam), kind="stable")
-        pattern = certificates._Pattern(g, 2)
-        polished = certificates._polish(a, lam, q, order, 2, pattern, mb.TOL_DEFAULT, mb.DELTA_DEFAULT)
+        polished = self.polish_c4(self.C4)
         assert polished is not None
-        assert np.max(np.abs(polished[0] - a)) <= 1e-9
+        assert np.max(np.abs(polished[0] - self.C4)) <= 1e-9
+
+    def test_steps_through_the_jacobian(self):
+        # C4's adjacency with edge (0, 1) at 1.05 and a_22 = 0.05 has rank 4,
+        # so the polish starts above cost 0 and must take Levenberg-Marquardt
+        # steps back to a rank-2 pattern matrix
+        a = self.C4.copy()
+        a[0, 1] = a[1, 0] = 1.05
+        a[2, 2] = 0.05
+        polished = self.polish_c4(a)
+        assert polished is not None
+        entries, sigma, steps = polished
+        assert steps >= 1
+        assert entries[0, 2] == entries[2, 0] == entries[1, 3] == entries[3, 1] == 0.0
+        assert certificates._residual(sigma, 2) <= certificates.POLISH_TOL
+        # rank-2 pattern matrices near ``a`` form a continuum, and where the
+        # steps land on it depends on the Jacobian: a wrong column moves this
+        # diagonal by 1e-4 or more
+        expected = [-0.025292076469, -0.000312209127, 0.024081148181, 0.000296985241]
+        assert np.allclose(np.diagonal(entries), expected, rtol=0.0, atol=1e-9)
 
 
 class TestVerifyCertificate:
@@ -372,6 +429,20 @@ class TestVerifyCertificate:
         mb.project_pattern(shifted, g, delta=c.matrix.delta).validate()
         lam = np.linalg.eigvalsh(shifted)
         assert np.sum(np.abs(lam - 1.0) <= 1e-6) >= 2
+
+    @pytest.mark.xfail(strict=True, reason="the rank test alone verifies a near-degenerate spectrum")
+    def test_wilkinson_pair_is_no_certificate(self):
+        # W21+ (diagonal |10 - i|, unit off-diagonal) shifted by its top
+        # eigenvalue is a pattern matrix of P_21 whose sigma[19] / sigma[0] is
+        # about 6e-15: its top two eigenvalues agree to about 1e-14, yet
+        # M(P_21) = 1, so a rank-19 certificate (m_lower 2) must not verify
+        g = mb.path_graph(21)
+        w = np.diag(np.abs(np.arange(21) - 10.0)) + np.eye(21, k=1) + np.eye(21, k=-1)
+        a = w - np.linalg.eigvalsh(w)[-1] * np.eye(21)
+        c = mb.RankCertificate(mb.PatternMatrix(a, g, 1.0), 19, tuple(certificates._spectrum(a)),
+                               mb.TOL_DEFAULT, True, 0)
+        assert c.m_lower == 2
+        assert not mb.verify_certificate(c)
 
 
 class TestMSandwich:

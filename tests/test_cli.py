@@ -256,7 +256,10 @@ class TestCertify:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("option,value", [("--tol", "nan"), ("--tol", "-1"), ("--delta", "nan")])
+    # --delta 2: edge magnitudes are sampled from [delta, 1], and numpy's own
+    # error ("high - low < 0") did not name delta
+    @pytest.mark.parametrize("option,value", [("--tol", "nan"), ("--tol", "-1"), ("--delta", "nan"),
+                                              ("--delta", "2")])
     def test_bad_tol_or_delta_is_a_usage_error(self, capsys, option, value):
         g6 = mb.sun_graph(5).graph6()
         code, out, err = run(capsys, "certify", "--graph6", g6, "--rank", "7", "--restarts", "3",
