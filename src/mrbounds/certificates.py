@@ -11,8 +11,8 @@ Certificates are numerical claims with an explicit tolerance, never proofs;
 m_sandwich combines them with the exact combinatorial bounds and refuses to
 let the numerics override those.  numpy loads on the first numeric call
 (see _NumpyOnFirstUse), so the exact bounds, and m_sandwich wherever no
-certificate search runs (no gap, or one the pendant-vertex rule closes),
-run without it.
+certificate search runs (no gap, or one that the pendant-vertex rule or
+the path and K4-minor rule closes), run without it.
 
 The rank test: a matrix with singular values sigma (descending) passes at
 rank r when _residual(sigma, r) = sigma[r] / sigma[0] <= tol.  The argument
@@ -463,8 +463,11 @@ class MSandwich:
     Exact bounds: t_minus from below, z and t_plus from above.  The numeric
     lower bound comes from converged rank certificates and is a claim at the
     search tolerance.  ``m_exact`` is set when ``lower`` meets ``upper``,
-    or, on the numeric path, when it meets the pendant-vertex rule's upper
-    end (_pendant_upper), which can lie below ``upper`` and is not a field.
+    or, on the numeric path, when ``lower`` or the path and K4-minor rule's
+    lower end (_minor_lower) meets the pendant-vertex rule's upper end
+    (_pendant_upper).  Neither rule's end is a field: the upper end can lie
+    below ``upper``, and the lower end above ``lower``, so ``m_exact`` can
+    lie above ``lower`` with ``numeric_lower`` None (C5: t_minus 0, M = 2).
     Otherwise it stays None, however good the certificates are: no
     certificate can lift the lower bound past M.  The odd n-suns from n = 5
     up are such graphs: M = max(2, n // 2) < z (the 5-sun: M = 2 with z = 3),
@@ -500,8 +503,11 @@ def m_sandwich(g: Graph, *, numeric: bool = True, seed: int = 0) -> MSandwich:
     call certificate_search directly for other settings.  The first target is
     min(upper, the pendant-vertex rule's exact upper end, _pendant_upper),
     and upper <= Z <= n, so a numeric claim never exceeds an exact upper
-    bound; when t_minus already meets that first target, ``m_exact`` is set
-    to it and no search runs (the odd n-suns).
+    bound; when t_minus or _minor_lower (1 per path component, 3 per
+    component with a K4 minor, 2 per other component) already meets that
+    first target, ``m_exact`` is set to it and no search runs (the odd
+    n-suns, cycles and wheels).  A _minor_lower above it contradicts the
+    exact bounds and raises CertificateConflict.
     Forest bounds that disagree are a contradiction and raise
     CertificateConflict instead of being reported.
     ``compute_report`` computes each exact bound once and hands the values
@@ -526,6 +532,11 @@ def _sandwich(g: Graph, tm: int, z: int, tp: int, dp: int, *, numeric: bool = Tr
             raise CertificateConflict(f"forest bounds disagree: t_minus={tm}, z={z}, t_plus={tp}")
         if numeric:
             top = min(top, _pendant_upper(g.adj, g.n))
+            low = _minor_lower(g.adj, g.n)
+            if low > top:
+                raise CertificateConflict(f"minor lower end {low} exceeds upper end {top}")
+            if low == top:
+                return replace(s, m_exact=top)
             for k in range(top, max(tm, 0), -1):
                 cert = certificate_search(g, g.n - k, seed=seed)
                 if cert.converged and verify_certificate(cert):
@@ -588,6 +599,57 @@ def _pendant_upper(adj, n: int) -> int:
         return memo[comp]
 
     return total((1 << n) - 1)
+
+
+def _minor_lower(adj, n: int) -> int:
+    """A lower bound on M(G) for the n-vertex graph ``adj``: the sum over
+    components of 1 for a path (a single vertex included), 3 for a component
+    with a K4 minor, and 2 for any other.
+
+    The values: M adds over components, as each one's diagonal shifts on its
+    own.  M = 1 exactly on paths, and M >= 2 on every other connected graph
+    (Fiedler, "A characterization of tridiagonal matrices", LAA 1969).  The
+    parameter xi(G), the largest nullity of a pattern matrix of G with the
+    strong Arnold property, is at most M(G), minor-monotone and 3 on K4
+    (Barioli, Fallat & Hogben, "A variant on the graph parameters of Colin
+    de Verdiere", ELA 2005), so a K4 minor gives M >= xi >= 3.
+
+    The K4 test is the series-parallel reduction: delete a vertex of degree
+    <= 1, or replace a vertex of degree 2 by an edge between its two
+    neighbours, until no such vertex is left.  Each step takes a minor, so
+    a non-empty remainder, of minimum degree >= 3, is a minor of G and holds
+    a K4 minor (Dirac 1952).  Each step also keeps a K4 minor: in a K4 model
+    (four disjoint connected branch sets, pairwise adjacent) a vertex v of
+    degree <= 2 is no branch set on its own, which needs three neighbours,
+    so v is unused or has a neighbour a in its branch set B.  Then B - v
+    stays connected, through the new edge ab if v's other neighbour b is in
+    B too, and keeps its adjacencies, through ab if b lies outside B.  So an
+    empty remainder means no K4 minor.
+
+    Work: O(n^2) bitmask operations, as each step removes one vertex after a
+    scan of at most n degrees.
+    """
+    total = 0
+    for comp in _level_bfs(adj, (1 << n) - 1)[1]:
+        nbrs = {v: adj[v] & comp for v in _bits(comp)}
+        degrees = [nb.bit_count() for nb in nbrs.values()]
+        if max(degrees) <= 2 and min(degrees) <= 1:
+            total += 1  # a path: degrees at most 2 and not a cycle
+            continue
+        while nbrs:
+            v = next((v for v, nb in nbrs.items() if nb.bit_count() <= 2), None)
+            if v is None:
+                break
+            nb = nbrs.pop(v)
+            ends = list(_bits(nb))
+            for u in ends:
+                nbrs[u] &= ~(1 << v)
+            if len(ends) == 2:
+                a, b = ends
+                nbrs[a] |= 1 << b
+                nbrs[b] |= 1 << a
+        total += 3 if nbrs else 2
+    return total
 
 
 # ---------------------------------------------------------------------------

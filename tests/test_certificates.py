@@ -458,9 +458,10 @@ class TestMSandwich:
         assert s.m_exact == 2
         assert s.numeric_lower is None
 
-    def test_wheel_pinned_by_certificate(self):
-        s = mb.m_sandwich(mb.wheel_graph(5))
-        assert (s.t_minus, s.z, s.t_plus, s.delta_plus) == (-1, 3, 3, 3)
+    def test_biclique_pinned_by_certificate(self):
+        # K_{2,3}: no exact rule reaches min(Z, t_plus) = 3, a rank-2 certificate does
+        s = mb.m_sandwich(mb.parse_graph6("D]o"))
+        assert (s.t_minus, s.z, s.t_plus, s.delta_plus) == (1, 3, 3, 3)
         assert s.numeric_lower == 3
         assert s.m_exact == 3
         assert s.lower == s.upper == 3
@@ -487,6 +488,15 @@ class TestMSandwich:
         s = mb.m_sandwich(mb.complete_graph(4))
         assert s.z == s.t_plus == 3
         assert s.m_exact == 3
+
+
+def disjoint_union(parts):
+    """The disjoint union of ``parts``, each relabelled after the last."""
+    edges, n = [], 0
+    for h in parts:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return mb.Graph.from_edges(n, edges)
 
 
 @functools.cache
@@ -536,11 +546,7 @@ class TestPendantUpper:
         assert certificates._pendant_upper((), 0) == 0
         assert certificates._pendant_upper((0,), 1) == 1
         parts = [mb.sun_graph(5), mb.path_graph(4), mb.Graph(1, ()), mb.cycle_graph(6), mb.wheel_graph(5)]
-        edges, n = [], 0
-        for h in parts:
-            edges += [(u + n, v + n) for u, v in h.edges]
-            n += h.n
-        union = mb.Graph.from_edges(n, edges)
+        union = disjoint_union(parts)
         scores = [certificates._pendant_upper(h.adj, h.n) for h in parts]
         assert scores == [2, 1, 1, 2, 3]
         assert certificates._pendant_upper(union.adj, union.n) == sum(scores)
@@ -564,11 +570,143 @@ class TestPendantUpper:
         assert time.perf_counter() - start < 0.5
 
 
+def reach(adj, s: int) -> int:
+    """Every vertex with a neighbour in the vertex set ``s``."""
+    out = 0
+    for v in range(len(adj)):
+        if s >> v & 1:
+            out |= adj[v]
+    return out
+
+
+def connected_submasks(adj, mask: int) -> list[int]:
+    """Every non-empty vertex set within ``mask`` that induces a connected
+    subgraph, by a search from its lowest vertex."""
+    out = []
+    sub = mask
+    while sub:
+        seen = frontier = sub & -sub
+        while frontier:
+            frontier = reach(adj, frontier) & sub & ~seen
+            seen |= frontier
+        if seen == sub:
+            out.append(sub)
+        sub = (sub - 1) & mask
+    return out
+
+
+def has_k4_minor(adj, mask: int) -> bool:
+    """Brute force: four disjoint connected vertex sets within ``mask``,
+    pairwise joined by an edge."""
+    sets = [(s, reach(adj, s) & ~s) for s in connected_submasks(adj, mask)]
+
+    def extend(chosen, used, start):
+        if len(chosen) == 4:
+            return True
+        return any(extend(chosen + [s], used | s, i + 1)
+                   for i, (s, outside) in enumerate(sets[start:], start)
+                   if not s & used and all(outside & c for c in chosen))
+
+    return extend([], 0, 0)
+
+
+def expected_minor_lower(g) -> int:
+    """The rule's value read off the oracle: per component, 1 for a path,
+    3 with a K4 minor, else 2."""
+    total = 0
+    for comp in connected_submasks(g.adj, (1 << g.n) - 1):
+        if reach(g.adj, comp) & ~comp:
+            continue  # not a whole component
+        degrees = [(g.adj[v] & comp).bit_count() for v in range(g.n) if comp >> v & 1]
+        if sum(degrees) // 2 == len(degrees) - 1 and max(degrees) <= 2:
+            total += 1
+        else:
+            total += 3 if has_k4_minor(g.adj, comp) else 2
+    return total
+
+
+class TestMinorLower:
+    """Fiedler's path rule and the K4-minor rule (certificates._minor_lower)."""
+
+    def test_k4_test_matches_branch_sets(self):
+        # every class with n <= 7; 756 of them have a K4 minor
+        k4 = 0
+        for g in small_classes():
+            assert certificates._minor_lower(g.adj, g.n) == expected_minor_lower(g), g.graph6()
+            k4 += has_k4_minor(g.adj, (1 << g.n) - 1)
+        assert k4 == 756
+
+    def test_never_above_the_exact_upper_end(self):
+        # the prototype's census: 627 of the 1,122 brackets with
+        # t_minus < min(Z, t_plus) at n <= 7 close at the rule's value
+        rng = random.Random(20261021)
+        graphs = list(small_classes())
+        graphs += [random_graph(rng.randint(8, 12), rng.choice((0.2, 0.35, 0.6)), rng) for _ in range(60)]
+        open_brackets = closed = 0
+        for i, g in enumerate(graphs):
+            tm, tp = deletion._t_values(g.adj, g.n)
+            upper = min(forcing._z_value(g.adj, g.n), tp)
+            low = certificates._minor_lower(g.adj, g.n)
+            assert low <= upper, g.graph6()
+            if i < len(small_classes()) and tm < upper:
+                open_brackets += 1
+                closed += low == upper
+        assert (open_brackets, closed) == (1122, 627)
+
+    def test_components_add(self):
+        assert certificates._minor_lower((), 0) == 0
+        assert certificates._minor_lower((0,), 1) == 1
+        parts = [mb.path_graph(4), mb.Graph(1, ()), mb.cycle_graph(6), mb.wheel_graph(5),
+                 mb.parse_graph6("D]o"), mb.sun_graph(5)]
+        union = disjoint_union(parts)
+        scores = [certificates._minor_lower(h.adj, h.n) for h in parts]
+        assert scores == [1, 1, 2, 3, 2, 2]
+        assert certificates._minor_lower(union.adj, union.n) == sum(scores)
+
+    @pytest.mark.parametrize("g, m", [*((mb.cycle_graph(n), 2) for n in range(4, 11)),
+                                      *((mb.wheel_graph(n), 3) for n in range(5, 9)),
+                                      (mb.sun_graph(3), 2), (mb.sun_graph(5), 2)],
+                             ids=[*(f"C{n}" for n in range(4, 11)), *(f"W{n}" for n in range(5, 9)),
+                                  "sun3", "sun5"])
+    def test_certify_targets_close_with_no_search(self, g, m, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certificate_search called")
+
+        monkeypatch.setattr(certificates, "certificate_search", refuse)
+        s = mb.m_sandwich(g)
+        assert (s.numeric_lower, s.m_exact) == (None, m)
+
+    def test_k23_still_searches(self, monkeypatch):
+        # K_{2,3} has no K4 minor, so the rule gives 2 against min(Z, t_plus)
+        # = 3, and a rank-2 certificate closes the bracket
+        g = mb.parse_graph6("D]o")
+        assert sorted(g.edges) == [(u, v) for u in (0, 1) for v in (2, 3, 4)]
+        ranks = []
+        real = certificates.certificate_search
+
+        def counted(g, r, **kwargs):
+            ranks.append(r)
+            return real(g, r, **kwargs)
+
+        monkeypatch.setattr(certificates, "certificate_search", counted)
+        s = mb.m_sandwich(g)
+        assert certificates._minor_lower(g.adj, g.n) == 2 and s.upper == 3
+        assert ranks == [2]
+        assert (s.numeric_lower, s.m_exact) == (3, 3)
+
+    def test_rule_above_the_upper_end_conflicts(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_pendant_upper", lambda adj, n: 2)
+        with pytest.raises(mb.CertificateConflict, match="minor lower end 3 exceeds upper end 2"):
+            mb.m_sandwich(mb.wheel_graph(5))
+
+
 # sha256 of repr(m_sandwich(g)) over sandwich_graphs(), without numerics, then
 # with numerics on the cycles C4-C8, the wheels W5-W7 and the 3-sun.  Taken
 # from the sandwich that set m_exact by its own three-way branch, before it
-# read both ends from MSandwich.lower and MSandwich.upper.
-SANDWICH_SHA256 = "fa4b4c2c13b2dab208fa75030cc8beacc9ad8d67173936c1b536045093b3c73e"
+# read both ends from MSandwich.lower and MSandwich.upper; re-pinned when the
+# minor rule (_minor_lower) closed all nine numeric graphs with no search,
+# which moved only their numeric_lower, from a certificate's k to None.
+SANDWICH_SHA256 = "1423159efc1f632702dccee0f90908ff37fc04622c8746bfeaf5b44a207c0a5e"
 
 
 def sandwich_graphs():

@@ -95,7 +95,8 @@ class TestComputeReport:
         assert r.m_exact == 2
 
     def test_with_numeric(self):
-        r = mb.compute_report(mb.wheel_graph(5), with_numeric=True)
+        # K_{2,3}: the bracket [1, 3] closes by a rank-2 certificate
+        r = mb.compute_report(mb.parse_graph6("D]o"), with_numeric=True)
         assert r.m_lower_numeric == 3
         assert r.m_exact == 3
 
@@ -174,7 +175,8 @@ class TestComputeReportSharesSearches:
                             ("delta", mb.delta(g)), ("delta_plus", mb.delta_plus(g))):
                 assert (getattr(r, name), r.witnesses[name]) == (w.value, tuple(sorted(w.s))), (g.graph6(), name)
 
-    @pytest.mark.parametrize("g", [mb.cycle_graph(5), mb.wheel_graph(6)], ids=["C5", "W6"])
+    @pytest.mark.parametrize("g", [mb.cycle_graph(5), mb.wheel_graph(6), mb.parse_graph6("D]o")],
+                             ids=["C5", "W6", "K23"])
     def test_numeric_matches_m_sandwich(self, g):
         r = mb.compute_report(g, with_numeric=True)
         sw = mb.m_sandwich(g, numeric=True)
@@ -448,7 +450,7 @@ class TestSerialization:
         return [
             mb.compute_report(mb.generate_family("fig1")),
             mb.compute_report(mb.path_graph(4)),
-            mb.compute_report(mb.wheel_graph(5), with_numeric=True),
+            mb.compute_report(mb.parse_graph6("D]o"), with_numeric=True),  # K_{2,3}: m_lower_numeric 3
             reports._light_report(mb.cycle_graph(4)),  # no witnesses: empty cells
         ]
 

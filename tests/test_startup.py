@@ -50,6 +50,8 @@ for argv in (["zf", "--graph6", "Dhc"], ["compute", "--graph6", "Dhc"],
         step(" ".join(argv), cli.main(argv))
 s = mb.m_sandwich(mb.cycle_graph(5))
 step("m_sandwich(C5)", [s.numeric_lower, s.m_exact])
+s = mb.m_sandwich(mb.parse_graph6("D]o"))
+step("m_sandwich(K_2,3)", [s.numeric_lower, s.m_exact])
 print(json.dumps(steps))
 """
 
@@ -67,8 +69,11 @@ def test_exact_paths_never_load_numpy():
         ["compute --graph6 Dhc", 0, False],
         ["family --kind fig4", 0, False],
         ["verify-chain --max-n 3", 0, False],
-        # C5's gap (t_minus 1, upper 2) is closed by a rank-3 certificate
-        ["m_sandwich(C5)", [2, 2], True],
+        # Fiedler's rule closes C5's gap (t_minus 0, upper 2) at M = 2
+        ["m_sandwich(C5)", [None, 2], False],
+        # K_{2,3}'s gap (t_minus 1, the rule's 2, upper 3) needs a rank-2
+        # certificate, the first numeric call
+        ["m_sandwich(K_2,3)", [3, 3], True],
     ]
 
 
