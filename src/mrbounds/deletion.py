@@ -27,14 +27,18 @@ its top vertex, with no code shared with the walk or the covers.
 
 Each component's walk runs size by size and each record keeps only strict
 improvements, or a tie at the same size from a lex-earlier set, so each
-record ends on its (size, lex)-first optimum.  Five cuts shorten it without
-changing a witness: it drops every prefix whose kept sets must all hold a
-cycle; it takes the vertices in descending degree, so that cut fires
-sooner and reads the largest degrees left off one running sum; it skips
-every set with a vertex that could be put back into the kept set at no
-loss (the put-back rule); a minimizing record stops once no larger set can
-beat it; and t_minus's record stops at the Gallai-Milgram bound.
-_component_walk's docstring states and proves them.
+record ends on its (size, lex)-first optimum.  Seven cuts shorten it
+without changing a witness: it drops every prefix whose kept sets must all
+hold a cycle by their degrees; it takes the vertices in descending degree,
+so that cut fires sooner and reads the largest degrees left off one
+running sum; it ends a level once the vertices it has passed over, which
+every kept set it would still build holds, have as many edges as vertices
+(the kept-prefix cut); it skips every set with a vertex that could be put
+back into the kept set at no loss (the put-back rule); once only
+minimizing records walk, it skips every set that keeps too few edges to
+tie their best (the edge floor); a minimizing record stops once no larger
+set can beat it; and t_minus's record stops at the Gallai-Milgram bound.
+The docstrings of _component_walk and _deletion_sets state and prove them.
 
 The count is one level BFS (core._level_bfs) per kept set: the BFS finds
 the components for the forest test, and its levels, deepest first, order
@@ -103,51 +107,76 @@ class DeletionWitness:
 # ---------------------------------------------------------------------------
 # the deletion search
 
-def _deletion_sets(adj, vs, q: int, edges: int, need: int) -> list[tuple[int, int]]:
+def _deletion_sets(adj, vs, q: int, edges: int, need: int, floor: int) -> list[tuple[int, int]]:
     """[(S, e(K))] for the q-subsets S of ``vs`` in the order of
     itertools.combinations over ``vs`` as given, as masks, where K is the
-    rest of ``vs`` and ``edges`` = e(vs), less the sets that hold a vertex
-    with fewer than ``need`` neighbours outside the vertices of S before it
-    in ``vs``.  ``vs`` must be in descending degree, as _component_walk
-    passes it.
+    rest of ``vs`` and ``edges`` = e(vs), for the sets that pass three
+    tests: ``floor`` <= e(K) < max(|K|, 1); no vertex of S has fewer than
+    ``need`` neighbours outside the vertices of S before it in ``vs``; and
+    for no vertex u of K before the last vertex of S in ``vs`` do the
+    vertices of K up to u have as many edges as vertices.  ``vs`` must be
+    in descending degree, as _component_walk passes it.
 
     The list holds one size's sets, at most core.SEARCH_MAX_SETS by _walk's
     work cap.  The walk recurses over prefixes and carries S and e(K):
     deleting v takes off the edges v still has into K, and v is skipped when
-    those are fewer than ``need`` (the put-back rule of _component_walk).  A
-    level stops at the first candidate vs[i] where even the r largest
-    degrees among vs[i:], r = the choices left, leave e(K) >= |K| > 0: their
-    kept sets, and those of every later candidate, have a cycle.  In
-    descending degree those r degrees are those of vs[i:i + r], read off one
-    running sum.  At the root this skips the whole size.  The last choice
-    appends its set in the loop, if e(K) stays below that bound, which saves
-    one call per set.
+    those are fewer than ``need`` (the put-back rule of _component_walk).
+    Three cuts end the loops early; each drops only sets that _forest_cover
+    would refuse or that lie below ``floor``:
+
+    * A level stops at the first candidate vs[i] where even the r largest
+      degrees among vs[i:], r = the choices left, leave e(K) >= |K| > 0:
+      their kept sets, and those of every later candidate, have a cycle.  In
+      descending degree those r degrees are those of vs[i:i + r], read off
+      one running sum.  At the root this skips the whole size.
+    * The kept prefix: once a level has tried vs[i], every set it or its
+      recursion still builds keeps vs[i] and the vertices before it that
+      are not in S.  The loop carries their mask, edge count and size, and
+      returns once they have as many edges as vertices: they then hold a
+      cycle, and so does every such kept set.
+    * The edge floor: every later choice is a vertex with at least ``need``
+      neighbours left in K, as the put-back rule skips the others, and
+      deleting it takes those edges off.  So a candidate v that leaves
+      e(K) - cut(v) < floor + need * (r - 1) ends every set below the floor,
+      and is passed over.  With r = 1 that is exact: a set with e(K) <
+      ``floor`` is never listed.  ``floor`` = 0 drops no set the put-back
+      rule keeps, since e(K) >= 0.
+
+    The last choice appends its set in the loop, if e(K) stays below the
+    cycle bound, which saves one call per set.
     """
     nc = len(vs)
     # a kept set with this many edges has a cycle; the empty kept set has none
     cyclic = max(nc - q, 1)
     if not q:
-        return [(0, edges)] if edges < cyclic else []
+        return [(0, edges)] if floor <= edges < cyclic else []
     degrees = [adj[v].bit_count() for v in vs]
     assert degrees == sorted(degrees, reverse=True)
     reach = list(itertools.accumulate(degrees, initial=0))
     out = []
 
-    def extend(j: int, r: int, s: int, e: int) -> None:
-        # S = s so far, r more vertices to choose from vs[j:]
+    def extend(j: int, r: int, s: int, e: int, k: int, ke: int, kc: int) -> None:
+        # S = s so far, r more vertices to choose from vs[j:]; k is the kept
+        # prefix, with ke edges and kc vertices
+        low = floor + need * (r - 1)
         for i in range(j, nc - r + 1):
             if e - (reach[i + r] - reach[i]) >= cyclic:
                 return
             v = vs[i]
+            bit = 1 << v
             cut = (adj[v] & ~s).bit_count()
-            if cut < need:
-                continue
-            if r > 1:
-                extend(i + 1, r - 1, s | 1 << v, e - cut)
-            elif e - cut < cyclic:
-                out.append((s | 1 << v, e - cut))
+            if cut >= need and e - cut >= low:
+                if r > 1:
+                    extend(i + 1, r - 1, s | bit, e - cut, k, ke, kc)
+                elif e - cut < cyclic:
+                    out.append((s | bit, e - cut))
+            ke += (adj[v] & k).bit_count()
+            kc += 1
+            if ke >= kc:
+                return
+            k |= bit
 
-    extend(0, q, 0, edges)
+    extend(0, q, 0, edges, 0, 0, 0)
     return out
 
 
@@ -186,7 +215,8 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     the count: a forest on k >= 1 vertices has fewer than k edges, and
     deleting a vertex takes off at most its degree, so _deletion_sets drops
     every prefix whose kept sets would keep e(K) >= |K| > 0 edges even after
-    the largest degrees left are deleted.
+    the largest degrees left are deleted, and every prefix whose kept
+    vertices so far already hold a cycle (the kept-prefix cut).
     _forest_cover returns None on any other cycle.
 
     The put-back rule skips every set S with a vertex v that has fewer than
@@ -205,11 +235,22 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
       K + v is one with p(K + v) = p(K) + 1, and S - v scores p(K) + |S|,
       the same.
 
+    The edge floor skips, while every walking record minimizes and has a
+    best, each set whose kept set has e(K) < floor = nc - max(best).  A
+    forest K with c trees has P >= c = |K| - e(K), so such a set scores
+    P + |S| >= nc - e(K) > max(best): it can neither beat nor tie a walking
+    record.  While t_minus walks, or a record has no best yet, the floor is
+    0, which skips nothing.
+
     A record walks every size up to the one it stops at, and need only
     rises, from 1 to 2 once delta_plus stops, so every skip a record sees
     falls under its own case.  Each skipped set is so beaten or matched by
     a smaller set, and by induction on size by a smaller set the walk keeps
-    (the empty set is never skipped).  So every size ends with the same best as a walk of all
+    (the empty set is never skipped), or by one the edge floor skipped.
+    That one scored worse than every walking record's best at its size; a
+    record walking now walked then, as records only stop, and its best has
+    only improved since; so the set it beats or matches scores worse than
+    that best too.  So every size ends with the same best as a walk of all
     sets, the stop rules below decide exactly as they would there, and each
     record's witness is the (size, lex)-first optimum of all sets.
 
@@ -242,6 +283,8 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     for q in itertools.count():
         walking = []
         need = 2  # the put-back rule's bound, 1 while delta_plus walks
+        # the edge floor, 0 unless every walking record minimizes and has a best
+        floor = nc
         for rec in active:
             minimize, paths_only, cap, best, _, _ = rec
             if q > cap:
@@ -260,10 +303,11 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
             walking.append(rec)
             if paths_only:
                 need = 1
+            floor = min(floor, nc - best if minimize and best is not None else 0)
         active = walking
         if not active:
             break
-        for s, kept in _deletion_sets(adj, vs, q, edges, need):
+        for s, kept in _deletion_sets(adj, vs, q, edges, need, floor):
             p = _forest_cover(adj, comp & ~s, kept)
             if p is None:
                 continue

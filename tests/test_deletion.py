@@ -197,7 +197,8 @@ class TestWitnesses:
 
 
 class TestPrunedKernel:
-    @pytest.mark.parametrize("source", ["labeled_n_le_5", "classes_n6", "complete_and_empty", "random_n9_11"])
+    @pytest.mark.parametrize(
+        "source", ["labeled_n_le_5", "classes_n6", "complete_and_empty", "random_n9_11", "random_n12_13"])
     def test_matches_plain_scan(self, source):
         if source == "labeled_n_le_5":
             graphs = [g for n in range(6) for g in enumerate_small_graphs(n)]
@@ -205,16 +206,34 @@ class TestPrunedKernel:
             graphs = class_representatives(6)
         elif source == "complete_and_empty":
             graphs = [mb.complete_graph(n) for n in range(1, 8)] + [Graph.from_edges(n) for n in range(8)]
-        else:
+        elif source == "random_n9_11":
             rng = random.Random(20261018)
             graphs = [random_graph(n, p, rng) for n in (9, 10, 11) for p in (0.2, 0.35, 0.6)]
+        else:
+            # the densities where the kept-prefix cut and the edge floor
+            # fire most, two graphs per cell
+            rng = random.Random(20261021)
+            graphs = [random_graph(n, p, rng) for n in (12, 13) for p in (0.35, 0.6) for _ in range(2)]
         for g in graphs:
             ref = first_optima(g)
-            # the three searches of a report, from one joint walk
-            joint = _search(g, ("t_minus", "t_plus", "delta_plus"))
+            # the three searches of a report, from one joint walk, and the
+            # two minimizing ones, whose joint walk sets its edge floor by
+            # the larger of their bests
+            joint = _search(g, ("t_minus", "t_plus", "delta_plus")) + _search(g, ("t_plus", "delta_plus"))
             for w in (mb.t_minus(g), mb.t_plus(g), mb.delta_plus(g), *joint):
                 assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (w.parameter, g.graph6())
             assert _t_values(g.adj, g.n) == (ref["t_minus"][1], ref["t_plus"][1])
+
+    def test_edge_floor_takes_the_larger_best(self):
+        # two sparse 11-vertex graphs with t_plus 5 and delta_plus 6, where a
+        # floor taken from the smaller best, t_plus's, would skip
+        # delta_plus's canonical witness while both minimizing records walk
+        for g6 in ("JGA?GI?rKg?", "J[G_L?GGAR?"):
+            g = mb.parse_graph6(g6)
+            ref = first_optima(g)
+            for names in (("t_plus", "delta_plus"), ("t_minus", "t_plus", "delta_plus")):
+                for w in _search(g, names):
+                    assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (names, w.parameter, g6)
 
     def test_delta_has_one_engine(self):
         # delta is always the t_minus upgrade: no keyword picks another
@@ -339,9 +358,9 @@ class TestDeletionSetWalk:
         vs = range(g.n) if vs is None else vs
         return tuple(sorted(vs, key=lambda v: (-g.adj[v].bit_count(), v)))
 
-    def walk(self, g, q, vs=None, need=0):
+    def walk(self, g, q, vs=None, need=0, floor=0):
         vs = self.order(g, vs)
-        return _deletion_sets(g.adj, vs, q, _edge_count(g.adj, _mask_of(vs)), need)
+        return _deletion_sets(g.adj, vs, q, _edge_count(g.adj, _mask_of(vs)), need, floor)
 
     def combinations(self, g, q, vs=None):
         vs = self.order(g, vs)
@@ -351,20 +370,28 @@ class TestDeletionSetWalk:
             out.append((s, _edge_count(g.adj, _mask_of(vs) & ~s)))
         return out
 
-    def kept(self, g, q, vs=None, need=0):
-        # the sets whose kept part K has e(K) < |K|, or K empty, and none of
-        # whose vertices has fewer than need neighbours outside the vertices
-        # of S before it in vs, in the order of combinations over vs
+    def kept(self, g, q, vs=None, need=0, floor=0):
+        # the sets whose kept part K has floor <= e(K) < |K|, or K empty;
+        # none of whose vertices has fewer than need neighbours outside the
+        # vertices of S before it in vs; and none of whose kept prefixes,
+        # the vertices of K up to a vertex of K that comes before the last
+        # vertex of S in vs, has as many edges as vertices; in the order of
+        # combinations over vs
         vs = self.order(g, vs)
         out = []
         for s, e in self.combinations(g, q, vs):
-            before = 0
-            put_back = False
+            before = prefix = edges = 0
+            put_back = cyclic = cyclic_prefix = False
             for v in vs:
                 if s >> v & 1:
                     put_back = put_back or (g.adj[v] & ~before).bit_count() < need
+                    cyclic_prefix = cyclic
                     before |= 1 << v
-            if e < max(len(vs) - q, 1) and not put_back:
+                else:
+                    edges += (g.adj[v] & prefix).bit_count()
+                    prefix |= 1 << v
+                    cyclic = cyclic or edges >= prefix.bit_count()
+            if floor <= e < max(len(vs) - q, 1) and not put_back and not cyclic_prefix:
                 out.append((s, e))
         return out
 
@@ -417,38 +444,80 @@ class TestDeletionSetWalk:
                     assert self.walk(g, q, vs) == self.kept(g, q, vs), (g.graph6(), vs, q)
                 assert self.walk(g, len(vs) + 1, vs) == []
 
-    def test_cycle_prune_fires(self):
-        # on K8 every kept set of 6 or 5 vertices has a cycle, so the root
-        # level returns at its first candidate: one call of extend, and a
-        # walk with no prune would recurse into every prefix
+    @staticmethod
+    def extend_calls(adj, vs, q, edges, need, floor):
+        """_deletion_sets' list and how many times it called extend."""
         calls = []
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code.co_name == "extend":
                 calls.append(frame.f_code)
 
-        g = mb.complete_graph(8)
         old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            sets = _deletion_sets(adj, vs, q, edges, need, floor)
+        finally:
+            sys.setprofile(old)
+        return sets, len(calls)
+
+    def test_cycle_prune_fires(self):
+        # on K8 every kept set of 6 or 5 vertices has a cycle, so the root
+        # level returns at its first candidate: one call of extend, and a
+        # walk with no prune would recurse into every prefix
+        g = mb.complete_graph(8)
         for q in (2, 3):
-            calls.clear()
-            sys.setprofile(count)
-            try:
-                sets = _deletion_sets(g.adj, tuple(range(8)), q, 28, 0)
-            finally:
-                sys.setprofile(old)
-            assert sets == [] and len(calls) == 1, (q, len(calls))
+            assert self.extend_calls(g.adj, tuple(range(8)), q, 28, 0, 0) == ([], 1), q
+
+    def test_kept_prefix_cut_fires(self):
+        # W8, hub 7 first, then the rim 0..6 in cycle order, with 14 edges;
+        # 4 of its 8 vertices deleted.  The degree-sum prune never fires at
+        # the root: the four largest degrees left sum to 12 or more, and
+        # 14 - 12 < 4 vertices kept.  The kept prefix 7, 0, 1 is a triangle,
+        # so the root returns after its third candidate: 36 calls of extend,
+        # where the walk without the cut makes 56; the 42 sets listed are
+        # the same
+        g = mb.wheel_graph(8)
+        vs = self.order(g)
+        reach = list(itertools.accumulate((g.adj[v].bit_count() for v in vs), initial=0))
+        assert vs[:3] == (7, 0, 1) and all(14 - (reach[i + 4] - reach[i]) < 4 for i in range(5))
+        sets, calls = self.extend_calls(g.adj, vs, 4, 14, 0, 0)
+        assert sets == self.kept(g, 4) and len(sets) == 42 and calls == 36
+
+    def test_edge_floor_cut_fires(self):
+        # W8 again, 4 of its 8 vertices deleted, each with at least two
+        # neighbours left in K: the 14 sets keep 1 or 3 edges.  A floor of 3
+        # lists the 7 with 3 and passes over every candidate that leaves
+        # fewer than 3 + 2(r - 1) edges: 15 calls of extend, where floor 0
+        # makes 31
+        g = mb.wheel_graph(8)
+        vs = self.order(g)
+        low, calls_low = self.extend_calls(g.adj, vs, 4, 14, 2, 0)
+        high, calls_high = self.extend_calls(g.adj, vs, 4, 14, 2, 3)
+        assert sorted({e for _, e in low}) == [1, 3] and len(low) == 14
+        assert high == [(s, e) for s, e in low if e >= 3] and len(high) == 7
+        assert (calls_low, calls_high) == (31, 15)
 
     def test_order_guard(self):
         # the prune reads the largest degrees left off the next vertices, so
         # a vertex order that is not descending in degree is refused
         with pytest.raises(AssertionError):
-            _deletion_sets(mb.star_graph(5).adj, (1, 2, 3, 4, 0), 1, 4, 0)
+            _deletion_sets(mb.star_graph(5).adj, (1, 2, 3, 4, 0), 1, 4, 0, 0)
 
     @pytest.mark.parametrize("need", [0, 1, 2])
     def test_put_back_rule_in_degree_order(self, need, rng):
         for g, vs in self.graphs(rng):
             for q in range(len(vs) + 2):
                 assert self.walk(g, q, vs, need) == self.kept(g, q, vs, need), (g.graph6(), vs, q)
+
+    @pytest.mark.parametrize("floor", [1, 3, 6])
+    def test_edge_floor(self, floor, rng):
+        # the walk passes a floor only with need 1 (delta_plus walking) or 2
+        for g, vs in self.graphs(rng):
+            for q in range(len(vs) + 2):
+                for need in (1, 2):
+                    assert self.walk(g, q, vs, need, floor) == self.kept(g, q, vs, need, floor), (
+                        g.graph6(), vs, q, need)
 
 
 class TestCaps:
