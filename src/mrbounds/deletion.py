@@ -36,9 +36,12 @@ every kept set it would still build holds, have as many edges as vertices
 (the kept-prefix cut); it skips every set with a vertex that could be put
 back into the kept set at no loss (the put-back rule); once only
 minimizing records walk, it skips every set that keeps too few edges to
-tie their best (the edge floor); a minimizing record stops once no larger
+beat their best (the edge floor); a minimizing record stops once no larger
 set can beat it; and t_minus's record stops at the Gallai-Milgram bound.
-The docstrings of _component_walk and _deletion_sets state and prove them.
+The count gate then skips the count of a listed kept set that no record
+could take, judged by two bounds on its cover number: |K| - e(K) below,
+and e(K) - |K| + n1 + 2 n0 above (_cover_ceiling).  The docstrings of
+_component_walk and _deletion_sets state and prove them.
 
 The count is one level BFS (core._level_bfs) per kept set: the BFS finds
 the components for the forest test, and its levels, deepest first, order
@@ -183,6 +186,31 @@ def _deletion_sets(adj, vs, q: int, edges: int, need: int, floor: int) -> list[t
 # The walk's records by name: (minimize, linear forests only).
 _RECORDS = {"t_minus": (False, False), "t_plus": (True, False), "delta_plus": (True, True)}
 
+
+def _cover_ceiling(adj, mask: int, edges: int) -> int:
+    """e(K) - |K| + n1 + 2 n0 for K = G[mask] with ``edges`` edges, where n1
+    and n0 count the vertices with one and with no neighbour in K: at least
+    the cover number P of K when K is a forest.
+
+    At each vertex of degree d > 2 in K drop d - 2 of its edges.  What is
+    left has no degree above 2 and no cycle, so it is a linear forest on
+    K's vertices with at least e(K) - sum (d - 2)+ edges, and its paths
+    cover K: P <= |K| - e(K) + sum (d - 2)+.  Over K, sum (d - 2) = 2 e(K)
+    - 2 |K|, and the vertices of degree 1 and 0 add back 1 and 2 each, so
+    sum (d - 2)+ = 2 e(K) - 2 |K| + n1 + 2 n0.  Equality holds on a path
+    (ceiling 1), a star K_1,m with m >= 2 (m - 1) and isolated vertices
+    (one each).  The loop takes the lowest bit inline, as _level_bfs does.
+    """
+    short = 0  # n1 + 2 n0: how far the degrees below 2 fall short of 2
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (adj[low.bit_length() - 1] & mask).bit_count()
+        if d < 2:
+            short += 2 - d
+    return edges - mask.bit_count() + short
+
 # The per-component canonical optima unite to the global canonical witness,
 # the first optimum in (size, lex) order over the whole graph.  This holds for
 # every search whose sets are judged per component and whose values and sizes
@@ -198,16 +226,17 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     one connected component with ``edges`` edges, each within its size in ``limits``.
 
     One walk over the deletion sets, size by size, feeds a record per name,
-    each of t_minus, t_plus and delta_plus (_RECORDS).  Each kept set K is
-    counted once, by _forest_cover, into its cover number P.  A forest K
-    with c trees has e(K) = |K| - c and P >= c, with equality exactly when
-    each tree is a path; so K is a linear forest iff P = |K| - e(K), and
-    then P is its path count p.  delta_plus sees only those kept sets.  A
-    record scores P - |S| (t_minus) or P + |S| (t_plus, delta_plus) and
-    keeps a set that scores strictly better, or as well at the same size
-    and earlier in lex order: of two sets of one size, that is the one
-    holding the least element of their symmetric difference.  So its
-    optimum is the (size, lex)-first one among the sets walked.
+    each of t_minus, t_plus and delta_plus (_RECORDS).  Each kept set K
+    that passes the count gate (below) is counted once, by _forest_cover,
+    into its cover number P.  A forest K with c trees has e(K) = |K| - c
+    and P >= c, with equality exactly when each tree is a path; so K is a
+    linear forest iff P = |K| - e(K), and then P is its path count p.
+    delta_plus sees only those kept sets.  A record scores P - |S|
+    (t_minus) or P + |S| (t_plus, delta_plus) and keeps a set that scores
+    strictly better, or as well at the same size and earlier in lex order:
+    of two sets of one size, that is the one holding the least element of
+    their symmetric difference.  So its optimum is the (size, lex)-first
+    one among the sets walked.
 
     Within a size the vertices are taken in descending degree, ties by
     label, so that _deletion_sets' cycle prune returns sooner, and the
@@ -235,24 +264,42 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
       K + v is one with p(K + v) = p(K) + 1, and S - v scores p(K) + |S|,
       the same.
 
-    The edge floor skips, while every walking record minimizes and has a
-    best, each set whose kept set has e(K) < floor = nc - max(best).  A
-    forest K with c trees has P >= c = |K| - e(K), so such a set scores
-    P + |S| >= nc - e(K) > max(best): it can neither beat nor tie a walking
-    record.  While t_minus walks, or a record has no best yet, the floor is
-    0, which skips nothing.
+    The count gate and the edge floor skip only idle sets.  A set of size q
+    is idle when no record walking at q could take it against the best the
+    record held at the start of size q.  By the tie rule a record takes a
+    set of size q only if it beats the record's best, or ties a best set at
+    size q, which already beats the start best; so a set that is no better
+    than every start best is idle, and an idle set is never taken.  Once
+    every walking record has a best, two bounds on the cover number P of a
+    forest K, taken from the start bests, find idle sets:
+
+    * P >= |K| - e(K), one path per tree, so P + q >= nc - e(K), and a
+      minimizing record with best b can take K only if e(K) >= nc - b + 1.
+      low is the least such edge count over the walking minimizers (nc + 1
+      if none walks).
+    * P <= _cover_ceiling(K), so t_minus with best b can take K only if
+      the ceiling exceeds b + q = top.
+
+    The count gate skips the count of a listed set with e(K) < low whose
+    ceiling is at most top; it reads the ceiling only when the edge test
+    fails.  While t_minus does not walk, every set with e(K) < low is idle,
+    and _deletion_sets drops it before it is listed: the edge floor is low.
+    The floor is tie-aware: a set with e(K) = nc - b could only tie b,
+    which was set at a smaller size.  While t_minus walks, or a record has
+    no best, the floor is 0, which skips nothing, and while a record has no
+    best the gate is off too.
 
     A record walks every size up to the one it stops at, and need only
     rises, from 1 to 2 once delta_plus stops, so every skip a record sees
-    falls under its own case.  Each skipped set is so beaten or matched by
-    a smaller set, and by induction on size by a smaller set the walk keeps
-    (the empty set is never skipped), or by one the edge floor skipped.
-    That one scored worse than every walking record's best at its size; a
-    record walking now walked then, as records only stop, and its best has
-    only improved since; so the set it beats or matches scores worse than
-    that best too.  So every size ends with the same best as a walk of all
-    sets, the stop rules below decide exactly as they would there, and each
-    record's witness is the (size, lex)-first optimum of all sets.
+    falls under its own case.  Each set the put-back rule skips is so
+    beaten or matched by a smaller set, and by induction on size by a
+    smaller set the walk counts (the empty set is never skipped), or by an
+    idle one.  That one was no better than every walking record's best at
+    the start of its size; a record walking now walked then, as records
+    only stop, and its best has only improved since; so the set it beats or
+    matches is idle too.  So every size ends with the same best as a walk
+    of all sets, the stop rules below decide exactly as they would there,
+    and each record's witness is the (size, lex)-first optimum of all sets.
 
     Two cuts stop a record at size q, and a size is walked only while some
     record has not stopped; neither changes a record's witness:
@@ -283,8 +330,12 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
     for q in itertools.count():
         walking = []
         need = 2  # the put-back rule's bound, 1 while delta_plus walks
-        # the edge floor, 0 unless every walking record minimizes and has a best
-        floor = nc
+        # the count gate, from the bests at the start of this size, while
+        # every walking record has one: a minimizing record can take only a
+        # kept set with e(K) >= low, and t_minus only one whose cover
+        # ceiling exceeds top; with no t_minus, low is the edge floor
+        gated = True
+        low, top = nc + 1, None
         for rec in active:
             minimize, paths_only, cap, best, _, _ = rec
             if q > cap:
@@ -303,12 +354,21 @@ def _component_walk(adj, comp: int, edges: int, limits, names):
             walking.append(rec)
             if paths_only:
                 need = 1
-            floor = min(floor, nc - best if minimize and best is not None else 0)
+            if best is None:
+                gated = False
+            elif minimize:
+                low = min(low, nc - best + 1)
+            else:
+                top = best + q
         active = walking
         if not active:
             break
+        floor = low if gated and top is None else 0
         for s, kept in _deletion_sets(adj, vs, q, edges, need, floor):
-            p = _forest_cover(adj, comp & ~s, kept)
+            rest = comp & ~s
+            if gated and kept < low and _cover_ceiling(adj, rest, kept) <= top:
+                continue
+            p = _forest_cover(adj, rest, kept)
             if p is None:
                 continue
             linear = p == nc - q - kept

@@ -3,7 +3,15 @@ forcing-set construction that witnesses Z <= t_plus.
 
 Color rule: a colored vertex with exactly one uncolored neighbor colors it.
 The closure is independent of the order forces are applied in; traces fix
-ascending order only so runs are reproducible.
+ascending order only so runs are reproducible.  The searches take closures
+by a worklist of colored vertices that may force (_closure_mask): a force
+lists only the vertex it colors and that vertex's colored neighbours, the
+only vertices whose uncolored neighbours it changes.  The witness scan and
+forcing_set_from_tplus list every colored vertex; the wavefront, which
+grows a closed set, lists only the vertices it adds and their colored
+neighbours (or, when it adds several, every colored vertex within two
+steps of the vertex it grows at).  forcing_closure, one force at a time,
+is the public trace and the tests' independent reference.
 
 Z is searched once per connected component, of at most 16 vertices each
 (_components), in two steps.  A force u -> w only looks at u's neighbours,
@@ -61,20 +69,31 @@ class ForcingTrace:
         return len(self.final) == n
 
 
-def _closure_mask(adj, filled: int) -> int:
-    """Fixed point of the color rule starting from the ``filled`` mask.  Each
-    sweep takes the lowest bit of ``filled`` inline, as _level_bfs does."""
-    while True:
-        grown = rest = filled
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            white = adj[low.bit_length() - 1] & ~grown
-            if white and white & (white - 1) == 0:
-                grown |= white
-        if grown == filled:
-            return filled
-        filled = grown
+def _closure_mask(adj, filled: int, todo: int | None = None) -> int:
+    """Fixed point of the color rule starting from the ``filled`` mask.
+
+    A worklist over the mask ``todo`` of colored vertices that may force,
+    by default all of ``filled``, which ``todo`` must lie in; a caller may
+    pass fewer when every colored vertex outside ``todo`` has no uncolored
+    neighbour or two or more.  Take a vertex u off the list; if it has
+    exactly one uncolored neighbour w, color w and list w and w's colored
+    neighbours.  That keeps the caller's condition: coloring w changes the
+    uncolored neighbours of w's neighbours only, and u has none left.  So
+    when the list is empty no colored vertex has exactly one uncolored
+    neighbour, the set is closed, and as every step was a force it is the
+    closure, the color rule's unique fixed point.  The loop takes the
+    lowest bit of ``todo`` inline, as _level_bfs does.
+    """
+    if todo is None:
+        todo = filled
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        white = adj[low.bit_length() - 1] & ~filled
+        if white and white & (white - 1) == 0:
+            filled |= white
+            todo |= white | adj[white.bit_length() - 1] & filled
+    return filled
 
 
 def forcing_closure(g: Graph, b) -> ForcingTrace:
@@ -113,6 +132,16 @@ def _wavefront(adj, comp: int) -> int:
     costs at least 1: a vertex of the closed set S never has exactly one
     neighbour outside S, and a vertex outside S is bought itself.
 
+    The closure of S | N[v] starts its worklist (_closure_mask) from the
+    new vertices, N[v] \\ S, and their colored neighbours.  Coloring them
+    changes the uncolored neighbours of their neighbours only, so every
+    other vertex of S still has none or two or more, as S is closed, and
+    cannot force until a neighbour of it is colored, which lists it.  The
+    new vertices and their neighbours lie in N[N[v]], which is listed
+    whole when more than one vertex is new: one AND in place of a loop over
+    the new vertices, which cost more than the few extra vertices it
+    lists.  A step that colors all of the component needs no closure.
+
     The cheapest cost of reaching the whole component is its forcing number.
 
     * It is at least Z.  A step's purchases lie outside S, so the purchases
@@ -138,13 +167,19 @@ def _wavefront(adj, comp: int) -> int:
     expanded costs at least c, and one more step at least 1.  So the search
     returns the first time it reaches the whole component at cost c + 1;
     otherwise it returns when it comes to the component's bucket.  Each
-    closed set is expanded once, with one closure per vertex: at most
+    closed set is expanded once, with at most one closure per vertex: at most
     2^nc * nc closures on nc vertices.  Twin leaves make many closed sets:
     the star K_1,15 has 2^15 - 14 of them: the empty set, and the
     centre with any set of leaves that does not miss exactly one.
     """
     vs = tuple(_bits(comp))
     ball = [adj[v] | 1 << v for v in vs]
+    # N[N[v]]: every new vertex of a step at v, and every neighbour of one
+    reach = []
+    for nb in ball:
+        for w in _bits(nb):
+            nb |= adj[w]
+        reach.append(nb)
     best = {0: 0}  # closed set -> cheapest cost found
     buckets = [[0]] + [[] for _ in vs]  # buckets[c]: states found at cost c
     for c, bucket in enumerate(buckets):
@@ -153,12 +188,17 @@ def _wavefront(adj, comp: int) -> int:
         for s in bucket:
             if best[s] < c:
                 continue  # reached more cheaply later
-            for v, nb in zip(vs, ball):
+            for v, nb, near in zip(vs, ball, reach):
                 new = nb & ~s
                 if not new:
                     continue
                 cost = c + (new.bit_count() - 1 if adj[v] & ~s else 1)
-                t = _closure_mask(adj, s | nb)
+                t = s | nb
+                if t != comp:
+                    # the new vertices and their colored neighbours: exact
+                    # for one new vertex, else the colored part of N[N[v]]
+                    todo = new | adj[new.bit_length() - 1] if new & (new - 1) == 0 else near
+                    t = _closure_mask(adj, t, todo & t)
                 if t == comp and cost == c + 1:
                     return cost
                 if t not in best or cost < best[t]:

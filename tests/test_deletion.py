@@ -1,6 +1,7 @@
 """Deletion parameters: golden values, witness canonicality, work caps."""
 
 import itertools
+import pathlib
 import random
 import sys
 import time
@@ -12,6 +13,7 @@ from mrbounds import Graph, deletion
 from mrbounds.core import _bits, _decomposition_of_mask, _edge_count, _level_bfs, _mask_of
 from mrbounds.deletion import (
     DeletionError,
+    _cover_ceiling,
     _deletion_sets,
     _delta_set,
     _delta_values,
@@ -235,6 +237,32 @@ class TestPrunedKernel:
                 for w in _search(g, names):
                     assert (w.s, w.value, w.p_or_cover) == ref[w.parameter], (names, w.parameter, g6)
 
+    def test_edge_floor_keeps_a_same_size_tie(self, monkeypatch):
+        # GifMTk (8 vertices): t_plus = delta_plus = 5, first at size 4,
+        # where both bests stand at 6, so the floor is 8 - 6 + 1 = 3 edges,
+        # exactly those of an optimum (a 4-vertex path, P = 1).  The walk
+        # lists {0, 1, 5, 6} first, and the lex-earlier {0, 1, 3, 5}, which
+        # ties it at the same size, must still replace it
+        g = mb.parse_graph6("GifMTk")
+        ref = first_optima(g)
+        floors, listed = {}, {}
+        sets = deletion._deletion_sets
+
+        def spy(adj, vs, q, edges, need, floor):
+            floors[q] = floor
+            listed[q] = [frozenset(_bits(s)) for s, _ in sets(adj, vs, q, edges, need, floor)]
+            return sets(adj, vs, q, edges, need, floor)
+
+        monkeypatch.setattr(deletion, "_deletion_sets", spy)
+        names = ("t_plus", "delta_plus")
+        for name, (value, s, p) in zip(names, _walk(g.adj, g.n, names)):
+            assert (frozenset(_bits(s)), value, p) == ref[name] == ({0, 1, 3, 5}, 5, 1), name
+        assert floors == {0: 0, 1: 0, 2: 0, 3: 0, 4: 3}
+        first, later = listed[4].index({0, 1, 5, 6}), listed[4].index({0, 1, 3, 5})
+        assert first < later
+        rest = 0xFF & ~_mask_of({0, 1, 5, 6})
+        assert _edge_count(g.adj, rest) == 3 and deletion._forest_cover(g.adj, rest, 3) == 1
+
     def test_delta_has_one_engine(self):
         # delta is always the t_minus upgrade: no keyword picks another
         # engine, and the walk keeps no delta record; t+- take no keyword
@@ -286,6 +314,116 @@ class TestPrunedKernel:
         w = mb.delta_plus(mb.star_graph(16))
         assert sorted(w.s) == list(range(1, 14)) and w.value == 14
         assert len(seen) <= 32_753
+
+
+PINNED_FORESTS = pathlib.Path(__file__).parent / "data" / "pinned_forests.g6"
+
+
+def labeled_forest_adjs(n):
+    """The adjacency tuple of every labeled forest on n vertices, once each:
+    edges are added in pair order, each only if it joins two trees."""
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def grow(start, adj, tree):
+        yield adj
+        for k in range(start, len(pairs)):
+            u, v = pairs[k]
+            if tree[u] != tree[v]:
+                grown = list(adj)
+                grown[u] |= 1 << v
+                grown[v] |= 1 << u
+                yield from grow(k + 1, tuple(grown), tuple(tree[u] if t == tree[v] else t for t in tree))
+
+    yield from grow(0, (0,) * n, tuple(range(n)))
+
+
+class TestCountGate:
+    """The walk's count gate: the two bounds |K| - e(K) <= P <=
+    _cover_ceiling(K) on the cover number of a forest K, and the counts the
+    gate skips."""
+
+    @staticmethod
+    def forests():
+        """(n, adj, labeled) for every labeled forest with n <= 7, then for
+        the pinned forests with up to 30 vertices."""
+        for n in range(8):
+            for adj in labeled_forest_adjs(n):
+                yield n, adj, True
+        for line in PINNED_FORESTS.read_text(encoding="ascii").splitlines():
+            g = mb.parse_graph6(line)
+            yield g.n, g.adj, False
+
+    def test_bounds_on_forests(self):
+        # equality in the ceiling holds when every tree is a path (an
+        # isolated vertex too) or a star, and only the ceiling reads n0
+        per_n = [0] * 8
+        tight = loose = 0
+        for n, adj, labeled in self.forests():
+            full = (1 << n) - 1
+            e = _edge_count(adj, full)
+            p = deletion._forest_cover(adj, full, e)
+            ceiling = _cover_ceiling(adj, full, e)
+            assert n - e <= p <= ceiling, (n, adj)
+            if labeled:
+                per_n[n] += 1
+            degrees = [adj[v].bit_count() for v in range(n)]
+            if all(max(degrees[v] for v in _bits(tree)) <= 2
+                   or max(degrees[v] for v in _bits(tree)) == tree.bit_count() - 1
+                   for tree in _level_bfs(adj, full)[1]):
+                assert p == ceiling, (n, adj)
+                tight += 1
+            else:
+                loose += p < ceiling
+        # labeled forests, OEIS A001858
+        assert per_n == [1, 1, 2, 7, 38, 291, 2932, 36961]
+        assert tight and loose
+
+    def test_ceiling_reads_the_kept_set_in_a_supergraph(self):
+        # the walk passes K as a mask in the component's adjacency, as
+        # _forest_cover takes it
+        rng = random.Random(20261022)
+        for p in (0.2, 0.35, 0.6):
+            g = random_graph(9, p, rng)
+            for mask in range(1 << 9):
+                e = _edge_count(g.adj, mask)
+                cover = deletion._forest_cover(g.adj, mask, e)
+                if cover is not None:
+                    assert mask.bit_count() - e <= cover <= _cover_ceiling(g.adj, mask, e), (g.graph6(), mask)
+
+    @staticmethod
+    def walk_counts(monkeypatch, g, names):
+        """_walk's results on g, with the kept sets _deletion_sets listed and
+        the number _forest_cover counted."""
+        listed, counted = [], []
+        sets, count = deletion._deletion_sets, deletion._forest_cover
+
+        def list_spy(*args):
+            out = sets(*args)
+            listed.extend(out)
+            return out
+
+        def count_spy(adj, rest, edges):
+            counted.append(rest)
+            return count(adj, rest, edges)
+
+        monkeypatch.setattr(deletion, "_deletion_sets", list_spy)
+        monkeypatch.setattr(deletion, "_forest_cover", count_spy)
+        found = _walk(g.adj, g.n, names)
+        monkeypatch.undo()
+        return found, len(listed), len(counted)
+
+    def test_gate_fires(self, monkeypatch):
+        # W8 in the joint walk of a report, and t_minus alone, which reads
+        # the ceiling of every listed set once it has a best: of the 21 kept
+        # sets listed the gate leaves 7 counted, and the witnesses are those
+        # of the scan of all sets
+        g = mb.wheel_graph(8)
+        ref = first_optima(g)
+        for names in (("t_minus", "t_plus", "delta_plus"), ("t_minus",)):
+            found, listed, counted = self.walk_counts(monkeypatch, g, names)
+            for name, (value, s, p) in zip(names, found):
+                assert (frozenset(_bits(s)), value, p) == ref[name], (names, name)
+            assert (listed, counted) == (21, 7), names
 
 
 def kept_set_sweep(adj, n):

@@ -7,7 +7,9 @@ import random
 import pytest
 
 import mrbounds as mb
-from mrbounds.forcing import _z_value
+from mrbounds import forcing
+from mrbounds.core import _bits, _mask_of
+from mrbounds.forcing import _closure_mask, _z_value
 from conftest import class_representatives, random_graph, random_tree, random_tree_edges
 
 FIG4 = mb.generate_family("fig4")
@@ -79,6 +81,49 @@ class TestForcingClosure:
             assert mb.forcing_closure(g, fin).final == fin
             bigger = b | {rng.randrange(7)}
             assert fin <= mb.forcing_closure(g, bigger).final
+
+
+class TestClosureWorklist:
+    """forcing._closure_mask, the searches' worklist closure, against
+    forcing_closure, the public trace that applies one force at a time."""
+
+    def test_every_subset_of_every_class_up_to_n6(self):
+        for n in range(7):
+            for g in class_representatives(n):
+                for b in range(1 << n):
+                    assert _closure_mask(g.adj, b) == _mask_of(mb.forcing_closure(g, _bits(b)).final), (g.graph6(), b)
+
+    def test_seeded_graphs(self):
+        rng = random.Random(20261022)
+        for n in range(8, 14):
+            for p in (0.15, 0.3, 0.5):
+                g = random_graph(n, p, rng)
+                for _ in range(40):
+                    b = _mask_of(v for v in range(n) if rng.random() < 0.3)
+                    assert _closure_mask(g.adj, b) == _mask_of(mb.forcing_closure(g, _bits(b)).final), (g.graph6(), b)
+
+    def test_wavefront_lists_only_what_can_force(self, monkeypatch):
+        # the wavefront lists only the vertices a step adds and their
+        # colored neighbours; on every state it expands that closure must
+        # be the one from all colored vertices
+        closure = forcing._closure_mask
+        seen = []
+
+        def spy(adj, filled, todo=None):
+            t = closure(adj, filled, todo)
+            if todo is not None:
+                seen.append(filled)
+                assert t == closure(adj, filled), (filled, todo)
+            return t
+
+        monkeypatch.setattr(forcing, "_closure_mask", spy)
+        rng = random.Random(20261023)
+        graphs = [g for n in range(1, 7) for g in class_representatives(n)]
+        graphs += [mb.star_graph(12), mb.sun_graph(5), mb.wheel_graph(7), FIG4]
+        graphs += [random_graph(n, p, rng) for n in (9, 11, 13) for p in (0.2, 0.35, 0.6)]
+        for g in graphs:
+            assert _z_value(g.adj, g.n) == mb.zero_forcing_number(g)[0]
+        assert len(seen) > 5_000
 
 
 class TestZeroForcingNumber:
